@@ -44,7 +44,7 @@ func (r *Result) Err() error {
 // absent — they are resolved against a permissive two-point lattice so the
 // same annotated sources can be base-checked.
 func Check(prog *ast.Program) *Result {
-	c := &checker{lat: permissive{lattice.TwoPoint()}}
+	c := &checker{lat: labelBlind}
 	c.res = resolve.New(c.lat, &c.diags)
 	c.run(prog)
 	return &Result{OK: !c.diags.HasErrors(), Diags: c.diags.All()}
@@ -56,6 +56,10 @@ func Check(prog *ast.Program) *Result {
 type permissive struct{ lattice.Lattice }
 
 func (p permissive) Lookup(string) (lattice.Label, bool) { return p.Bottom(), true }
+
+// labelBlind is the one permissive lattice every Check resolves against; a
+// lattice is read-only after construction, so it is shared.
+var labelBlind = permissive{lattice.TwoPoint()}
 
 type checker struct {
 	lat   lattice.Lattice

@@ -40,12 +40,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/events"
 	"repro/internal/gen"
+	"repro/internal/lattice"
 	"repro/internal/ni"
 	"repro/internal/pipeline"
 )
@@ -126,7 +130,8 @@ type Config struct {
 	// adaptive NI budget: accepted programs get NITrials trials, rejected
 	// programs escalate toward NITrialsMax until a witness appears.
 	NITrialsMax int
-	// Workers bounds the pipeline worker pool (<= 0 = GOMAXPROCS).
+	// Workers bounds the goroutines that generate the programs and then
+	// the pipeline worker pool that analyzes them (<= 0 = GOMAXPROCS).
 	Workers int
 	// Oracle selects the NI backend (see pipeline.Options.Oracle; "" is
 	// the adaptive default). With pipeline.OracleExhaustive the
@@ -210,18 +215,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("difftest: %w", err)
 	}
 
-	// Generation is cheap and deterministic per index; do it up front so
-	// the pipeline measures pure analysis throughput.
-	jobs := make([]pipeline.Job, cfg.N)
-	for i := range jobs {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		jobs[i] = pipeline.Job{
-			Name:   fmt.Sprintf("fuzz-%d.p4", i),
-			Source: gen.Random(rng, gcfg),
-			Lat:    lat,
-		}
-	}
-
+	jobs := generate(ctx, cfg, gcfg, lat)
 	sum, err := pipeline.Run(ctx, jobs, pipeline.Options{
 		Workers:       cfg.Workers,
 		NI:            pipeline.NIAll,
@@ -232,6 +226,10 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		ExhaustBudget: cfg.ExhaustBudget,
 		ExhaustProbes: cfg.ExhaustProbes,
 	})
+	if err == nil && len(jobs) < cfg.N {
+		// Generation stopped early, so ctx is done.
+		err = ctx.Err()
+	}
 	rep := &Report{
 		RulesCited: map[string]int{},
 		Elapsed:    sum.Elapsed,
@@ -276,6 +274,46 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		Kind: events.KindProgress, Op: "fuzz", Done: rep.Analyzed, Total: cfg.N,
 	})
 	return rep, err
+}
+
+// generate builds the campaign's N programs before analysis starts, on
+// up to cfg.Workers goroutines. Program i is gen.Random over a generator
+// seeded with Seed+i, a pure function of its index, so how the indices
+// fall across goroutines cannot change a byte; each goroutine reseeds one
+// rand.Rand per program instead of allocating a source for each.
+// Goroutines claim indices in increasing order and check ctx before each
+// claim, so on cancellation the returned slice is the dense prefix of
+// programs generated so far.
+func generate(ctx context.Context, cfg Config, gcfg gen.Config, lat lattice.Lattice) []pipeline.Job {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, cfg.N)
+	jobs := make([]pipeline.Job, cfg.N)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(0))
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= cfg.N {
+					return
+				}
+				rng.Seed(cfg.Seed + int64(i))
+				jobs[i] = pipeline.Job{
+					Name:   fmt.Sprintf("fuzz-%d.p4", i),
+					Source: gen.Random(rng, gcfg),
+					Lat:    lat,
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return jobs[:min(int(next.Load()), cfg.N)]
 }
 
 // Classify maps one pipeline result to its verdict class and the detail

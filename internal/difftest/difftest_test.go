@@ -2,8 +2,10 @@ package difftest_test
 
 import (
 	"context"
+	"maps"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/difftest"
 )
@@ -70,6 +72,46 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestCampaignIdenticalAcrossWorkers checks that the worker count, which
+// also splits program generation, changes nothing a report carries: the
+// verdict counts, trials, rule citations, and every finding must match the
+// single-worker run exactly.
+func TestCampaignIdenticalAcrossWorkers(t *testing.T) {
+	run := func(workers int) *difftest.Report {
+		rep, err := difftest.Run(context.Background(), difftest.Config{
+			N: 80, Seed: 31337, NITrials: 2, NITrialsMax: 8, Workers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	ref := run(1)
+	for _, workers := range []int{2, 8} {
+		got := run(workers)
+		if got.Counts != ref.Counts {
+			t.Errorf("workers=%d: counts %v, want %v", workers, got.Counts, ref.Counts)
+		}
+		if got.TrialsRun != ref.TrialsRun {
+			t.Errorf("workers=%d: %d trials, want %d", workers, got.TrialsRun, ref.TrialsRun)
+		}
+		if !maps.Equal(got.RulesCited, ref.RulesCited) {
+			t.Errorf("workers=%d: rules cited %v, want %v", workers, got.RulesCited, ref.RulesCited)
+		}
+		if len(got.Findings) != len(ref.Findings) {
+			t.Fatalf("workers=%d: %d findings, want %d", workers, len(got.Findings), len(ref.Findings))
+		}
+		for i, f := range got.Findings {
+			r := ref.Findings[i]
+			if f.Index != r.Index || f.Seed != r.Seed || f.Verdict != r.Verdict ||
+				f.Source != r.Source || f.Detail != r.Detail {
+				t.Errorf("workers=%d: finding %d = #%d (%s), want #%d (%s)",
+					workers, i, f.Index, f.Verdict, r.Index, r.Verdict)
+			}
+		}
+	}
+}
+
 // TestCampaignRejectsBadConfig checks the config validation path.
 func TestCampaignRejectsBadConfig(t *testing.T) {
 	if _, err := difftest.Run(context.Background(), difftest.Config{N: 0}); err == nil {
@@ -94,6 +136,39 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 	if !strings.Contains(difftest.FormatReport(rep), "ABORTED") {
 		t.Error("report of cancelled campaign does not say ABORTED")
+	}
+}
+
+// TestCampaignPreCancelledReturnsPromptly checks that a campaign whose
+// context is already cancelled does not generate its programs first: a
+// 200,000-program run, which takes seconds to generate, must come back at
+// once, aborted, with its counts covering exactly the analyzed prefix.
+func TestCampaignPreCancelledReturnsPromptly(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const n = 200_000
+	start := time.Now()
+	rep, err := difftest.Run(ctx, difftest.Config{N: n, Seed: 1, NITrials: 2, Workers: 2})
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("pre-cancelled campaign took %v", elapsed)
+	}
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !rep.Aborted || rep.Analyzed >= n {
+		t.Fatalf("Aborted=%v Analyzed=%d, want an aborted partial report", rep.Aborted, rep.Analyzed)
+	}
+	total := 0
+	for _, c := range rep.Counts {
+		total += c
+	}
+	if total != rep.Analyzed {
+		t.Errorf("counts cover %d programs, Analyzed says %d", total, rep.Analyzed)
+	}
+	for _, f := range rep.Findings {
+		if f.Index >= rep.Analyzed {
+			t.Errorf("finding #%d lies outside the analyzed prefix of %d", f.Index, rep.Analyzed)
+		}
 	}
 }
 

@@ -3,10 +3,11 @@
 // Compile lowers a *ast.Program into pre-bound evaluator closures: every
 // name reference becomes a (region, slot) index into flat value frames,
 // every statement and expression becomes a Go closure over those slots, and
-// every error message is precomputed at compile time. Running a trial on the
-// resulting Machine costs input-state setup plus closure invocation — no AST
-// walking, no map-based environment or store lookups, and no per-node
-// allocation beyond the values the program itself constructs.
+// every runtime error site captures its source position, which is formatted
+// only if the error actually occurs. Running a trial on the resulting
+// Machine costs input-state setup plus closure invocation — no AST walking,
+// no map-based environment or store lookups, and no per-node allocation
+// beyond the values the program itself constructs.
 //
 // The compiled form is observationally identical to the tree-walking
 // interpreter in interp.go: same outputs, same signals, and byte-identical
@@ -21,14 +22,11 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
-	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/controlplane"
 	"repro/internal/diag"
-	"repro/internal/lattice"
 	"repro/internal/resolve"
 	"repro/internal/token"
 	"repro/internal/types"
@@ -109,31 +107,42 @@ func (v *cTable) String() string { return "table(" + v.name + ")" }
 
 // cArg is a compiled call argument: the expression (for in-parameters) and,
 // when the expression has l-value shape, the compiled l-value (for out and
-// inout parameters). lvErr carries the interpreter's "is not an l-value"
-// message for arguments that need one but lack the shape.
+// inout parameters). src is the argument expression itself, kept to render
+// the interpreter's "is not an l-value" error when an out or inout
+// parameter receives an argument without that shape.
 type cArg struct {
-	expr  cExpr
-	lv    *cLValue
-	lvErr string
+	expr cExpr
+	lv   *cLValue
+	src  ast.Expr
 }
+
+// notLValue is the interpreter's error for an expression used where an
+// l-value is required.
+func notLValue(e ast.Expr) error { return fmt.Errorf("%s: %s is not an l-value", e.Pos(), e) }
 
 // cAccessor is one step of an l-value path: a field projection or an index
 // expression (evaluated at l-value-evaluation time, as in Appendix F).
 type cAccessor struct {
 	field  string
-	idx    cExpr  // nil for field accessors
-	idxPos string // index node position prefix ("file:l:c: ")
+	idx    cExpr     // nil for field accessors
+	idxPos token.Pos // index node position
 }
 
-// cLValue is a compiled l-value: resolved base plus accessor path. baseErr
+// cLValue is a compiled l-value: resolved base plus accessor path. unbound
 // is set when the base name is not in scope — the interpreter reports that
 // only at read/write time (after index evaluation), so the compiled form
 // defers it the same way.
 type cLValue struct {
-	baseErr string
+	base    string
+	unbound bool
 	ref     varRef
-	pos     string // base identifier position prefix ("file:l:c: ")
+	pos     token.Pos // base identifier position
 	path    []cAccessor
+}
+
+// undeclared is the interpreter's error for a name not in scope.
+func undeclared(pos token.Pos, name string) error {
+	return fmt.Errorf("%s: undeclared variable %q", pos, name)
 }
 
 // tableInfo records a table declaration for control-plane registration.
@@ -204,7 +213,7 @@ func (c *compiler) check() bool {
 // load time); callers should fall back to the tree-walking interpreter.
 func Compile(prog *ast.Program) (*Compiled, error) {
 	c := &compiler{}
-	c.res = resolve.New(permissive{lattice.TwoPoint()}, &c.diags)
+	c.res = resolve.New(labelBlind, &c.diags)
 	c.res.CollectTypeDecls(prog)
 	if err := c.diags.Err(); err != nil {
 		return nil, err
@@ -498,39 +507,40 @@ func (c *compiler) compileBlock(b *ast.BlockStmt) []cStmt {
 	return out
 }
 
-// fuelOrErr is the statement preamble every compiled statement starts with,
-// mirroring evalStmt's per-statement fuel decrement.
-func fuelMsg(s ast.Stmt) string { return s.Pos().String() + ": evaluation fuel exhausted" }
+// outOfFuel is the error every compiled statement's preamble returns when
+// the per-statement fuel decrement (mirroring evalStmt's) runs out.
+func outOfFuel(pos token.Pos) error { return fmt.Errorf("%s: evaluation fuel exhausted", pos) }
 
 func (c *compiler) compileStmt(s ast.Stmt) cStmt {
-	fuel := fuelMsg(s)
+	pos := s.Pos()
 	switch s := s.(type) {
 	case *ast.BlockStmt:
 		body := c.compileBlock(s)
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			return runBody(m, body)
 		}
 
 	case *ast.AssignStmt:
-		lv, lvErr := c.compileLValue(s.LHS)
+		lv := c.compileLValue(s.LHS)
 		rhs := c.compileExpr(s.RHS)
 		if lv == nil {
+			lhs := s.LHS
 			return func(m *Machine) (Signal, error) {
 				m.fuel--
 				if m.fuel <= 0 {
-					return Signal{}, errors.New(fuel)
+					return Signal{}, outOfFuel(pos)
 				}
-				return Signal{}, errors.New(lvErr)
+				return Signal{}, notLValue(lhs)
 			}
 		}
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			ib, err := lv.evalIdx(m)
 			if err != nil {
@@ -557,11 +567,10 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			els = c.compileStmt(s.Else)
 			c.sc = saved
 		}
-		prefix := s.P.String() + ": "
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			cv, err := cond(m)
 			if err != nil {
@@ -569,7 +578,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			}
 			b, ok := cv.(BoolVal)
 			if !ok {
-				return Signal{}, fmt.Errorf("%sif condition evaluated to %s, not bool", prefix, cv)
+				return Signal{}, fmt.Errorf("%s: if condition evaluated to %s, not bool", pos, cv)
 			}
 			if bool(b) {
 				return runBody(m, then)
@@ -584,7 +593,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			return Signal{Kind: SigExit}, nil
 		}
@@ -594,7 +603,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			return func(m *Machine) (Signal, error) {
 				m.fuel--
 				if m.fuel <= 0 {
-					return Signal{}, errors.New(fuel)
+					return Signal{}, outOfFuel(pos)
 				}
 				return Signal{Kind: SigReturn, Val: UnitVal{}}, nil
 			}
@@ -603,7 +612,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			v, err := x(m)
 			if err != nil {
@@ -615,28 +624,27 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 	case *ast.ExprStmt:
 		call, ok := s.X.(*ast.Call)
 		if !ok {
-			msg := s.P.String() + ": expression statement is not a call"
 			return func(m *Machine) (Signal, error) {
 				m.fuel--
 				if m.fuel <= 0 {
-					return Signal{}, errors.New(fuel)
+					return Signal{}, outOfFuel(pos)
 				}
-				return Signal{}, errors.New(msg)
+				return Signal{}, fmt.Errorf("%s: expression statement is not a call", pos)
 			}
 		}
 		fun := c.compileExpr(call.Fun)
 		args := c.compileArgs(call.Args)
-		posStr := call.P.String()
+		callPos := call.P
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			fv, err := fun(m)
 			if err != nil {
 				return Signal{}, err
 			}
-			_, sig, err := m.invoke(posStr, fv, args, nil)
+			_, sig, err := m.invoke(callPos, fv, args, nil)
 			if err != nil {
 				return Signal{}, err
 			}
@@ -648,11 +656,10 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 
 	case *ast.ApplyStmt:
 		tbl := c.compileExpr(s.Table)
-		posStr := s.P.String()
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			tv0, err := tbl(m)
 			if err != nil {
@@ -660,22 +667,21 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 			}
 			tv, ok := tv0.(*cTable)
 			if !ok {
-				return Signal{}, fmt.Errorf("%s: %s is not a table", posStr, tv0)
+				return Signal{}, fmt.Errorf("%s: %s is not a table", pos, tv0)
 			}
-			return m.applyTable(posStr, tv)
+			return m.applyTable(pos, tv)
 		}
 
 	case *ast.DeclStmt:
-		return c.compileDeclStmt(s, fuel)
+		return c.compileDeclStmt(s)
 
 	default:
-		msg := s.Pos().String() + ": unsupported statement"
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
-			return Signal{}, errors.New(msg)
+			return Signal{}, fmt.Errorf("%s: unsupported statement", pos)
 		}
 	}
 }
@@ -684,8 +690,8 @@ func (c *compiler) compileStmt(s ast.Stmt) cStmt {
 // the progressive scope, then bind a fresh slot in the enclosing frame. The
 // Register and Const flags are ignored in statement position, exactly as
 // evalVarDecl ignores them.
-func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
-	d := s.Decl
+func (c *compiler) compileDeclStmt(s *ast.DeclStmt) cStmt {
+	pos, d := s.P, s.Decl
 	st := c.res.SecType(d.Type)
 	if !c.check() {
 		return func(m *Machine) (Signal, error) { return Signal{}, c.err }
@@ -705,7 +711,7 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 		return func(m *Machine) (Signal, error) {
 			m.fuel--
 			if m.fuel <= 0 {
-				return Signal{}, errors.New(fuel)
+				return Signal{}, outOfFuel(pos)
 			}
 			iv, err := init(m)
 			if err != nil {
@@ -719,7 +725,7 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 	return func(m *Machine) (Signal, error) {
 		m.fuel--
 		if m.fuel <= 0 {
-			return Signal{}, errors.New(fuel)
+			return Signal{}, outOfFuel(pos)
 		}
 		m.set(ref, Copy(zero))
 		return Signal{Kind: SigCont}, nil
@@ -729,46 +735,39 @@ func (c *compiler) compileDeclStmt(s *ast.DeclStmt, fuel string) cStmt {
 // ---------------------------------------------------------------------------
 // L-values
 
-// compileLValue returns the compiled l-value, or nil plus the interpreter's
-// "is not an l-value" message when the expression lacks l-value shape. An
-// out-of-scope base still compiles (the interpreter reports it only at
-// read/write time, after index evaluation).
-func (c *compiler) compileLValue(e ast.Expr) (*cLValue, string) {
+// compileLValue returns the compiled l-value, or nil when the expression
+// lacks l-value shape (a use as one reports notLValue). An out-of-scope
+// base still compiles (the interpreter reports it only at read/write time,
+// after index evaluation).
+func (c *compiler) compileLValue(e ast.Expr) *cLValue {
 	switch e := e.(type) {
 	case *ast.Ident:
-		lv := &cLValue{pos: e.P.String() + ": "}
-		if ref, ok := c.sc.lookup(e.Name); ok {
-			lv.ref = ref
-		} else {
-			lv.baseErr = e.P.String() + ": undeclared variable " + strconv.Quote(e.Name)
-		}
-		return lv, ""
+		ref, ok := c.sc.lookup(e.Name)
+		return &cLValue{base: e.Name, unbound: !ok, ref: ref, pos: e.P}
 	case *ast.Member:
-		lv, msg := c.compileLValue(e.X)
+		lv := c.compileLValue(e.X)
 		if lv == nil {
-			return nil, msg
+			return nil
 		}
 		lv.path = append(lv.path, cAccessor{field: e.Field})
-		return lv, ""
+		return lv
 	case *ast.Index:
-		lv, msg := c.compileLValue(e.X)
+		lv := c.compileLValue(e.X)
 		if lv == nil {
-			return nil, msg
+			return nil
 		}
 		idx := c.compileExpr(e.I)
-		lv.path = append(lv.path, cAccessor{idx: idx, idxPos: e.P.String() + ": "})
-		return lv, ""
+		lv.path = append(lv.path, cAccessor{idx: idx, idxPos: e.P})
+		return lv
 	default:
-		return nil, fmt.Sprintf("%s: %s is not an l-value", e.Pos(), e)
+		return nil
 	}
 }
 
 // compileArg lowers one call argument: the expression always, plus the
 // l-value plan when the argument has that shape.
 func (c *compiler) compileArg(e ast.Expr) *cArg {
-	a := &cArg{expr: c.compileExpr(e)}
-	a.lv, a.lvErr = c.compileLValue(e)
-	return a
+	return &cArg{expr: c.compileExpr(e), lv: c.compileLValue(e), src: e}
 }
 
 func (c *compiler) compileArgs(es []ast.Expr) []*cArg {
@@ -811,8 +810,8 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 				return func(m *Machine) (Value, error) { return m.regs[slot], nil }
 			}
 		}
-		msg := e.P.String() + ": undeclared variable " + strconv.Quote(e.Name)
-		return func(*Machine) (Value, error) { return nil, errors.New(msg) }
+		pos, name := e.P, e.Name
+		return func(*Machine) (Value, error) { return nil, undeclared(pos, name) }
 
 	case *ast.Unary:
 		return c.compileUnary(e)
@@ -842,7 +841,7 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 	case *ast.Member:
 		x := c.compileExpr(e.X)
 		field := e.Field
-		prefix := e.P.String() + ": "
+		pos := e.P
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -850,7 +849,7 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 			}
 			v, err := project(xv, accessor{field: field})
 			if err != nil {
-				return nil, errors.New(prefix + err.Error())
+				return nil, fmt.Errorf("%s: %v", pos, err)
 			}
 			return v, nil
 		}
@@ -858,7 +857,7 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 	case *ast.Index:
 		x := c.compileExpr(e.X)
 		ix := c.compileExpr(e.I)
-		prefix := e.P.String() + ": "
+		pos := e.P
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -870,11 +869,11 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 			}
 			idx, err := toIndex(iv)
 			if err != nil {
-				return nil, errors.New(prefix + err.Error())
+				return nil, fmt.Errorf("%s: %v", pos, err)
 			}
 			v, err := project(xv, accessor{index: idx})
 			if err != nil {
-				return nil, errors.New(prefix + err.Error())
+				return nil, fmt.Errorf("%s: %v", pos, err)
 			}
 			return v, nil
 		}
@@ -882,32 +881,31 @@ func (c *compiler) compileExpr(e ast.Expr) cExpr {
 	case *ast.Call:
 		fun := c.compileExpr(e.Fun)
 		args := c.compileArgs(e.Args)
-		posStr := e.P.String()
-		exitMsg := posStr + ": exit inside an expression call"
+		pos := e.P
 		return func(m *Machine) (Value, error) {
 			fv, err := fun(m)
 			if err != nil {
 				return nil, err
 			}
-			v, sig, err := m.invoke(posStr, fv, args, nil)
+			v, sig, err := m.invoke(pos, fv, args, nil)
 			if err != nil {
 				return nil, err
 			}
 			if sig.Kind == SigExit {
-				return nil, errors.New(exitMsg)
+				return nil, fmt.Errorf("%s: exit inside an expression call", pos)
 			}
 			return v, nil
 		}
 
 	default:
-		msg := e.Pos().String() + ": unsupported expression"
-		return func(*Machine) (Value, error) { return nil, errors.New(msg) }
+		pos := e.Pos()
+		return func(*Machine) (Value, error) { return nil, fmt.Errorf("%s: unsupported expression", pos) }
 	}
 }
 
 func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 	x := c.compileExpr(e.X)
-	prefix := e.P.String() + ": "
+	pos := e.P
 	switch e.Op {
 	case token.NOT:
 		return func(m *Machine) (Value, error) {
@@ -917,7 +915,7 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			}
 			b, ok := xv.(BoolVal)
 			if !ok {
-				return nil, fmt.Errorf("%s! on %s", prefix, xv)
+				return nil, fmt.Errorf("%s: ! on %s", pos, xv)
 			}
 			return BoolVal(!bool(b)), nil
 		}
@@ -933,7 +931,7 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			case BitVal:
 				return boxBit(v.W, -v.V), nil
 			}
-			return nil, fmt.Errorf("%s- on %s", prefix, xv)
+			return nil, fmt.Errorf("%s: - on %s", pos, xv)
 		}
 	case token.BITNOT:
 		return func(m *Machine) (Value, error) {
@@ -943,17 +941,17 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 			}
 			b, ok := xv.(BitVal)
 			if !ok {
-				return nil, fmt.Errorf("%s~ on %s", prefix, xv)
+				return nil, fmt.Errorf("%s: ~ on %s", pos, xv)
 			}
 			return boxBit(b.W, ^b.V), nil
 		}
 	default:
-		opStr := e.Op.String()
+		op := e.Op
 		return func(m *Machine) (Value, error) {
 			if _, err := x(m); err != nil {
 				return nil, err
 			}
-			return nil, fmt.Errorf("%sunsupported unary operator %s", prefix, opStr)
+			return nil, fmt.Errorf("%s: unsupported unary operator %s", pos, op)
 		}
 	}
 }
@@ -961,9 +959,8 @@ func (c *compiler) compileUnary(e *ast.Unary) cExpr {
 func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 	x := c.compileExpr(e.X)
 	y := c.compileExpr(e.Y)
-	prefix := e.P.String() + ": "
-	opStr := e.Op.String()
-	switch e.Op {
+	pos, op := e.P, e.Op
+	switch op {
 	case token.AND, token.OR:
 		isAnd := e.Op == token.AND
 		return func(m *Machine) (Value, error) {
@@ -973,7 +970,7 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			}
 			xb, ok := xv.(BoolVal)
 			if !ok {
-				return nil, fmt.Errorf("%s%s on %s", prefix, opStr, xv)
+				return nil, fmt.Errorf("%s: %s on %s", pos, op, xv)
 			}
 			if isAnd && !bool(xb) {
 				return BoolVal(false), nil
@@ -987,7 +984,7 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			}
 			yb, ok := yv.(BoolVal)
 			if !ok {
-				return nil, fmt.Errorf("%s%s on %s", prefix, opStr, yv)
+				return nil, fmt.Errorf("%s: %s on %s", pos, op, yv)
 			}
 			return yb, nil
 		}
@@ -1033,7 +1030,6 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			return BoolVal(eq), nil
 		}
 	default:
-		op := e.Op
 		return func(m *Machine) (Value, error) {
 			xv, err := x(m)
 			if err != nil {
@@ -1048,21 +1044,21 @@ func (c *compiler) compileBinary(e *ast.Binary) cExpr {
 			case IntVal:
 				switch bv := yv.(type) {
 				case IntVal:
-					return intOp(op, prefix, opStr, int64(av), int64(bv))
+					return intOp(op, pos, int64(av), int64(bv))
 				case BitVal:
-					return bitOp(op, prefix, opStr, NewBit(bv.W, uint64(av)), bv)
+					return bitOp(op, pos, NewBit(bv.W, uint64(av)), bv)
 				}
 			case BitVal:
 				switch bv := yv.(type) {
 				case IntVal:
-					return bitOp(op, prefix, opStr, av, NewBit(av.W, uint64(bv)))
+					return bitOp(op, pos, av, NewBit(av.W, uint64(bv)))
 				case BitVal:
 					if av.W == bv.W {
-						return bitOp(op, prefix, opStr, av, bv)
+						return bitOp(op, pos, av, bv)
 					}
 				}
 			}
-			return nil, fmt.Errorf("%soperator %s on %s and %s", prefix, opStr, xv, yv)
+			return nil, fmt.Errorf("%s: operator %s on %s and %s", pos, op, xv, yv)
 		}
 	}
 }

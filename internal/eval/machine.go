@@ -5,7 +5,6 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/controlplane"
@@ -230,7 +229,7 @@ func (m *Machine) putFrame(f []Value) { m.framePool = append(m.framePool, f) }
 // (evaluated in the caller's frame context); extra are pre-evaluated
 // control-plane values appended after them, each bound as-is (the
 // interpreter's argSpec.val path).
-func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Value, Signal, error) {
+func (m *Machine) invoke(pos token.Pos, fv Value, args []*cArg, extra []Value) (Value, Signal, error) {
 	clos, ok := fv.(*cClos)
 	if !ok {
 		if b, ok := fv.(BuiltinVal); ok {
@@ -272,7 +271,7 @@ func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Val
 			frame[i] = Copy(coerceValue(v, p.Type.T))
 		case types.Out:
 			if a.lv == nil {
-				return fail(errors.New(a.lvErr))
+				return fail(notLValue(a.src))
 			}
 			ib, err := a.lv.evalIdx(m)
 			if err != nil {
@@ -282,7 +281,7 @@ func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Val
 			m.wbs = append(m.wbs, mwb{lv: a.lv, idxBase: ib, frame: frame, slot: i})
 		default: // inout
 			if a.lv == nil {
-				return fail(errors.New(a.lvErr))
+				return fail(notLValue(a.src))
 			}
 			ib, err := a.lv.evalIdx(m)
 			if err != nil {
@@ -322,7 +321,7 @@ func (m *Machine) invoke(pos string, fv Value, args []*cArg, extra []Value) (Val
 	}
 }
 
-func (m *Machine) invokeBuiltin(pos string, b BuiltinVal, args []*cArg, extra []Value) (Value, Signal, error) {
+func (m *Machine) invokeBuiltin(pos token.Pos, b BuiltinVal, args []*cArg, extra []Value) (Value, Signal, error) {
 	switch string(b) {
 	case "NoAction":
 		return UnitVal{}, Signal{Kind: SigCont}, nil
@@ -332,7 +331,7 @@ func (m *Machine) invokeBuiltin(pos string, b BuiltinVal, args []*cArg, extra []
 		}
 		a := args[0]
 		if a.lv == nil {
-			return nil, Signal{}, errors.New(a.lvErr)
+			return nil, Signal{}, notLValue(a.src)
 		}
 		ib, err := a.lv.evalIdx(m)
 		if err != nil {
@@ -375,7 +374,7 @@ func (m *Machine) invokeBuiltin(pos string, b BuiltinVal, args []*cArg, extra []
 // Table application
 
 // applyTable mirrors Interp.applyTable over a compiled table.
-func (m *Machine) applyTable(pos string, tv *cTable) (Signal, error) {
+func (m *Machine) applyTable(pos token.Pos, tv *cTable) (Signal, error) {
 	var kbuf [8]uint64
 	keys := kbuf[:0]
 	for i, k := range tv.keys {
@@ -461,7 +460,7 @@ func (lv *cLValue) evalIdx(m *Machine) (int, error) {
 		n, err := toIndex(iv)
 		if err != nil {
 			m.idxs = m.idxs[:base]
-			return base, errors.New(acc.idxPos + err.Error())
+			return base, fmt.Errorf("%s: %v", acc.idxPos, err)
 		}
 		m.idxs = append(m.idxs, n)
 	}
@@ -470,8 +469,8 @@ func (lv *cLValue) evalIdx(m *Machine) (int, error) {
 
 // read mirrors readLValue: project along the path and return a deep copy.
 func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
-	if lv.baseErr != "" {
-		return nil, errors.New(lv.baseErr)
+	if lv.unbound {
+		return nil, undeclared(lv.pos, lv.base)
 	}
 	v := m.get(lv.ref)
 	k := idxBase
@@ -485,7 +484,7 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 			k++
 		}
 		if err != nil {
-			return nil, errors.New(lv.pos + err.Error())
+			return nil, fmt.Errorf("%s: %v", lv.pos, err)
 		}
 	}
 	return Copy(v), nil
@@ -498,14 +497,14 @@ func (lv *cLValue) read(m *Machine, idxBase int) (Value, error) {
 // deep-copies composites (storeValue), every init and copy-in copies, and
 // RunIndexed callers transfer ownership of the argument trees.
 func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
-	if lv.baseErr != "" {
-		return errors.New(lv.baseErr)
+	if lv.unbound {
+		return undeclared(lv.pos, lv.base)
 	}
 	if len(lv.path) == 0 || lv.ref.region == rGlobal {
 		old := m.get(lv.ref)
 		updated, err := lv.update(m, old, 0, idxBase, nv)
 		if err != nil {
-			return errors.New(lv.pos + err.Error())
+			return fmt.Errorf("%s: %v", lv.pos, err)
 		}
 		m.set(lv.ref, updated)
 		return nil
@@ -524,7 +523,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 				slot = fieldSlot(vv.Fields, acc.field)
 			}
 			if slot == nil {
-				return errors.New(lv.pos + fmt.Sprintf("value %s has no field %q", v, acc.field))
+				return fmt.Errorf("%s: value %s has no field %q", lv.pos, v, acc.field)
 			}
 			if last {
 				slot.Val = storeValue(slot.Val, nv)
@@ -535,7 +534,7 @@ func (lv *cLValue) write(m *Machine, idxBase int, nv Value) error {
 		}
 		st, ok := v.(*StackVal)
 		if !ok {
-			return errors.New(lv.pos + fmt.Sprintf("value %s is not indexable", v))
+			return fmt.Errorf("%s: value %s is not indexable", lv.pos, v)
 		}
 		idx := m.idxs[k]
 		k++
@@ -644,10 +643,11 @@ func (lv *cLValue) update(m *Machine, v Value, pi, k int, nv Value) (Value, erro
 }
 
 // ---------------------------------------------------------------------------
-// Arithmetic, mirroring evalIntOp/evalBitOp with precomputed position
-// prefixes (errors are cold; results are boxed through the BitVal cache).
+// Arithmetic, mirroring evalIntOp/evalBitOp (errors are cold and format
+// the operator's position only when they occur; results are boxed through
+// the BitVal cache).
 
-func intOp(op token.Kind, prefix, opStr string, a, b int64) (Value, error) {
+func intOp(op token.Kind, pos token.Pos, a, b int64) (Value, error) {
 	switch op {
 	case token.PLUS:
 		return IntVal(a + b), nil
@@ -657,12 +657,12 @@ func intOp(op token.Kind, prefix, opStr string, a, b int64) (Value, error) {
 		return IntVal(a * b), nil
 	case token.SLASH:
 		if b == 0 {
-			return nil, errors.New(prefix + "division by zero")
+			return nil, fmt.Errorf("%s: division by zero", pos)
 		}
 		return IntVal(a / b), nil
 	case token.PERCENT:
 		if b == 0 {
-			return nil, errors.New(prefix + "modulo by zero")
+			return nil, fmt.Errorf("%s: modulo by zero", pos)
 		}
 		return IntVal(a % b), nil
 	case token.LT:
@@ -678,11 +678,11 @@ func intOp(op token.Kind, prefix, opStr string, a, b int64) (Value, error) {
 	case token.SHR:
 		return IntVal(a >> uint(b&63)), nil
 	default:
-		return nil, errors.New(prefix + "operator " + opStr + " undefined on int")
+		return nil, fmt.Errorf("%s: operator %s undefined on int", pos, op)
 	}
 }
 
-func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
+func bitOp(op token.Kind, pos token.Pos, a, b BitVal) (Value, error) {
 	w := a.W
 	switch op {
 	case token.PLUS:
@@ -693,12 +693,12 @@ func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
 		return boxBit(w, a.V*b.V), nil
 	case token.SLASH:
 		if b.V == 0 {
-			return nil, errors.New(prefix + "division by zero")
+			return nil, fmt.Errorf("%s: division by zero", pos)
 		}
 		return boxBit(w, a.V/b.V), nil
 	case token.PERCENT:
 		if b.V == 0 {
-			return nil, errors.New(prefix + "modulo by zero")
+			return nil, fmt.Errorf("%s: modulo by zero", pos)
 		}
 		return boxBit(w, a.V%b.V), nil
 	case token.LT:
@@ -726,6 +726,6 @@ func bitOp(op token.Kind, prefix, opStr string, a, b BitVal) (Value, error) {
 		}
 		return boxBit(w, a.V>>b.V), nil
 	default:
-		return nil, fmt.Errorf("%soperator %s undefined on bit<%d>", prefix, opStr, w)
+		return nil, fmt.Errorf("%s: operator %s undefined on bit<%d>", pos, op, w)
 	}
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/types"
 )
@@ -21,29 +22,41 @@ type Rng interface {
 // stock generator (the fuzz corpus, NI trial classifications) replay
 // unchanged. That exactness is what lets the NI hot path batch rng draws
 // per trial without invalidating any persisted finding.
+//
+// Instances are pooled: NewBatchRand takes one from the pool and reseeds
+// it, and Release returns it. A math/rand source's state is several
+// kilobytes, so reseeding a pooled one instead of allocating a fresh one
+// per NI round is most of what an rng costs the campaign path.
 type BatchRand struct {
-	s64 rand.Source64
-	src rand.Source // fallback when the source is not a Source64
+	src rand.Source64
 	buf [256]uint64
 	n   int
 	i   int
 }
 
+var batchRands = sync.Pool{New: func() any {
+	// rand.NewSource's generator implements Source64.
+	return &BatchRand{src: rand.NewSource(0).(rand.Source64)}
+}}
+
 // NewBatchRand returns a batching generator seeded like
-// rand.New(rand.NewSource(seed)).
+// rand.New(rand.NewSource(seed)). Seeding resets the whole source state,
+// so a reused instance draws exactly what a fresh one would.
 func NewBatchRand(seed int64) *BatchRand {
-	src := rand.NewSource(seed)
-	r := &BatchRand{src: src}
-	if s64, ok := src.(rand.Source64); ok {
-		r.s64 = s64
-	}
+	r := batchRands.Get().(*BatchRand)
+	r.src.Seed(seed)
+	r.n, r.i = 0, 0
 	return r
 }
+
+// Release returns r to the pool NewBatchRand draws from. The caller must
+// not use r, or anything still holding it, after Release.
+func (r *BatchRand) Release() { batchRands.Put(r) }
 
 func (r *BatchRand) word() uint64 {
 	if r.i >= r.n {
 		for j := range r.buf {
-			r.buf[j] = r.s64.Uint64()
+			r.buf[j] = r.src.Uint64()
 		}
 		r.n, r.i = len(r.buf), 0
 	}
@@ -53,20 +66,10 @@ func (r *BatchRand) word() uint64 {
 }
 
 // Uint64 mirrors rand.Rand.Uint64.
-func (r *BatchRand) Uint64() uint64 {
-	if r.s64 == nil {
-		return uint64(r.src.Int63())>>31 | uint64(r.src.Int63())<<32
-	}
-	return r.word()
-}
+func (r *BatchRand) Uint64() uint64 { return r.word() }
 
 // Int63 mirrors rand.Rand.Int63.
-func (r *BatchRand) Int63() int64 {
-	if r.s64 == nil {
-		return r.src.Int63()
-	}
-	return int64(r.word() &^ (1 << 63))
-}
+func (r *BatchRand) Int63() int64 { return int64(r.word() &^ (1 << 63)) }
 
 // Int31 mirrors rand.Rand.Int31.
 func (r *BatchRand) Int31() int32 { return int32(r.Int63() >> 32) }

@@ -2,8 +2,54 @@ package eval
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
+
+// matchDraws draws n values from ref and got through an adversarial
+// interleaving of every BatchRand method, chosen by pick, and fails on the
+// first difference.
+func matchDraws(t *testing.T, label string, ref *rand.Rand, got *BatchRand, pick *rand.Rand, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		switch pick.Intn(7) {
+		case 0:
+			if a, b := ref.Uint64(), got.Uint64(); a != b {
+				t.Fatalf("%s draw %d: Uint64 %d != %d", label, i, a, b)
+			}
+		case 1:
+			if a, b := ref.Int63(), got.Int63(); a != b {
+				t.Fatalf("%s draw %d: Int63 %d != %d", label, i, a, b)
+			}
+		case 2:
+			if a, b := ref.Int31(), got.Int31(); a != b {
+				t.Fatalf("%s draw %d: Int31 %d != %d", label, i, a, b)
+			}
+		case 3:
+			n := int64(pick.Intn(1<<24) + 1)
+			if a, b := ref.Int63n(n), got.Int63n(n); a != b {
+				t.Fatalf("%s draw %d: Int63n(%d) %d != %d", label, i, n, a, b)
+			}
+		case 4:
+			n := int32(pick.Intn(1<<20) + 1)
+			if a, b := ref.Int31n(n), got.Int31n(n); a != b {
+				t.Fatalf("%s draw %d: Int31n(%d) %d != %d", label, i, n, a, b)
+			}
+		case 5:
+			n := pick.Intn(257) + 1 // crosses the power-of-two fast path
+			if a, b := ref.Intn(n), got.Intn(n); a != b {
+				t.Fatalf("%s draw %d: Intn(%d) %d != %d", label, i, n, a, b)
+			}
+		default:
+			// The Int63n(1<<20) draw Random uses for Int fields.
+			if a, b := ref.Int63n(1<<20), got.Int63n(1<<20); a != b {
+				t.Fatalf("%s draw %d: Int63n(2^20) %d != %d", label, i, a, b)
+			}
+		}
+	}
+}
+
+var testSeeds = []int64{0, 1, 42, -7, 1 << 40}
 
 // TestBatchRandMatchesMathRand proves BatchRand produces the bit-identical
 // stream to rand.New(rand.NewSource(seed)) under an adversarial interleaving
@@ -11,41 +57,54 @@ import (
 // and replay gates classify by values derived from this stream, so exact
 // equality is required, not just distributional equivalence.
 func TestBatchRandMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{0, 1, 42, -7, 1 << 40} {
-		ref := rand.New(rand.NewSource(seed))
+	for _, seed := range testSeeds {
 		got := NewBatchRand(seed)
-		pick := rand.New(rand.NewSource(seed ^ 0x9E3779B9))
-		for i := 0; i < 20000; i++ {
-			switch pick.Intn(6) {
-			case 0:
-				if a, b := ref.Uint64(), got.Uint64(); a != b {
-					t.Fatalf("seed %d draw %d: Uint64 %d != %d", seed, i, a, b)
-				}
-			case 1:
-				if a, b := ref.Int63(), got.Int63(); a != b {
-					t.Fatalf("seed %d draw %d: Int63 %d != %d", seed, i, a, b)
-				}
-			case 2:
-				n := int64(pick.Intn(1<<24) + 1)
-				if a, b := ref.Int63n(n), got.Int63n(n); a != b {
-					t.Fatalf("seed %d draw %d: Int63n(%d) %d != %d", seed, i, n, a, b)
-				}
-			case 3:
-				n := int32(pick.Intn(1<<20) + 1)
-				if a, b := ref.Int31n(n), got.Int31n(n); a != b {
-					t.Fatalf("seed %d draw %d: Int31n(%d) %d != %d", seed, i, n, a, b)
-				}
-			case 4:
-				n := pick.Intn(257) + 1 // crosses the power-of-two fast path
-				if a, b := ref.Intn(n), got.Intn(n); a != b {
-					t.Fatalf("seed %d draw %d: Intn(%d) %d != %d", seed, i, n, a, b)
-				}
-			default:
-				// The Int63n(1<<20) draw Random uses for Int fields.
-				if a, b := ref.Int63n(1<<20), got.Int63n(1<<20); a != b {
-					t.Fatalf("seed %d draw %d: Int63n(2^20) %d != %d", seed, i, a, b)
-				}
-			}
-		}
+		matchDraws(t, "fresh", rand.New(rand.NewSource(seed)), got, rand.New(rand.NewSource(seed^0x9E3779B9)), 20000)
+		got.Release()
 	}
+}
+
+// TestBatchRandReseedAfterRelease proves a pooled BatchRand keeps nothing
+// from its previous use: one left partly drained, with words still
+// buffered, released and taken again under a new seed, yields exactly the
+// stream of a freshly seeded math/rand generator.
+func TestBatchRandReseedAfterRelease(t *testing.T) {
+	for i, seed := range testSeeds {
+		old := NewBatchRand(seed + 1000)
+		pick := rand.New(rand.NewSource(int64(i)))
+		matchDraws(t, "before release", rand.New(rand.NewSource(seed+1000)), old, pick, 300+i*97)
+		old.Release()
+		got := NewBatchRand(seed)
+		matchDraws(t, "after release", rand.New(rand.NewSource(seed)), got, pick, 5000)
+		got.Release()
+	}
+}
+
+// TestBatchRandPoolConcurrent takes, drains, and releases pooled
+// generators from several goroutines at once; under -race it checks that
+// an instance is never shared, and every stream must still match its
+// seed.
+func TestBatchRandPoolConcurrent(t *testing.T) {
+	const goroutines, rounds = 8, 40
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				seed := int64(g*rounds + r)
+				ref := rand.New(rand.NewSource(seed))
+				got := NewBatchRand(seed)
+				for i := 0; i < 50+r*13; i++ {
+					if a, b := ref.Uint64(), got.Uint64(); a != b {
+						t.Errorf("goroutine %d round %d draw %d: %d != %d", g, r, i, a, b)
+						got.Release()
+						return
+					}
+				}
+				got.Release()
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -229,6 +229,7 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 		probes = 1
 	}
 	rng := eval.NewBatchRand(seed)
+	defer rng.Release()
 	sec := newOdometer(p, p.secretIdx)
 	for pr := 0; pr < probes; pr++ {
 		for _, li := range p.publicIdx {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -333,18 +334,24 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 	}
 	all := true
 	for _, key := range m.Keys {
+		// A miss is an anomaly only while it lasts: once a later tick
+		// accounts for the key, its entry is withdrawn, so Errors ends up
+		// listing only keys that never became readable.
+		miss := fmt.Sprintf("window [%d, %d): key %.12s not in %s's staging corpus", m.Lo, m.Hi, key, m.Worker)
 		if mergedKeys[key] {
+			rep.Errors = withdraw(rep.Errors, miss)
 			continue
 		}
 		if main.Has(key) {
 			mergedKeys[key] = true
 			rep.Known++
+			rep.Errors = withdraw(rep.Errors, miss)
 			continue
 		}
 		e, ok := byKey[key]
 		if !ok {
 			all = false
-			rep.Errors = appendOnce(rep.Errors, fmt.Sprintf("window [%d, %d): key %.12s not in %s's staging corpus", m.Lo, m.Hi, key, m.Worker))
+			rep.Errors = appendOnce(rep.Errors, miss)
 			continue
 		}
 		src, err := e.Source()
@@ -359,6 +366,7 @@ func mergeMarker(cfg Config, main, staging *corpus.Corpus, m *DoneMarker, merged
 		}
 		mergedKeys[key] = true
 		rep.Merged++
+		rep.Errors = withdraw(rep.Errors, miss)
 		cfg.Metrics.Counter("fleet_merged_findings_total", "worker", m.Worker).Inc()
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindMerge, Op: "fleet", Worker: m.Worker,
@@ -429,6 +437,11 @@ func reclaimExpired(cfg Config, man *Manifest, rep *Report) error {
 		fmt.Fprintf(cfg.Log, "fleet: reclaimed window [%d, %d) from %s (stale heartbeat)\n", lo, hi, l.Worker)
 	}
 	return nil
+}
+
+// withdraw removes s from xs.
+func withdraw(xs []string, s string) []string {
+	return slices.DeleteFunc(xs, func(x string) bool { return x == s })
 }
 
 func appendOnce(xs []string, s string) []string {

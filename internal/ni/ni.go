@@ -32,6 +32,14 @@ import (
 )
 
 // Experiment configures a non-interference experiment.
+//
+// An Experiment caches its per-program setup across runs: the compiled
+// program (see Code), the resolved control and its parameter types, the
+// compiled input samplers, and the machine pair trials run on. Every
+// round of RunAdaptive and every oracle over the same Experiment reuses
+// them, so the configuration fields must not change after the first run.
+// The caches and machines are mutable state, so an Experiment is not safe
+// for concurrent use; give each goroutine its own.
 type Experiment struct {
 	// Prog is the (parsed) program under test.
 	Prog *ast.Program
@@ -78,6 +86,12 @@ type Experiment struct {
 	triedCompile bool
 	machA, machB *eval.Machine
 	machCode     *eval.Compiled
+
+	resolved bool // ctrl, params, and setupErr are set
+	ctrl     *ast.ControlDecl
+	params   map[string]types.SecType
+	setupErr error
+	samplers []sampler // the fast path's input plans, built on first use
 }
 
 // engine returns the compiled program to run trials on, compiling lazily
@@ -155,15 +169,12 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 	// rand.New(rand.NewSource(seed)), so the three engine paths below (and
 	// any recorded corpus seed) draw exactly the same trials.
 	rng := eval.NewBatchRand(seed)
+	defer rng.Release()
 	obs := e.Observer
 	if obs.IsZero() {
 		obs = e.Lat.Bottom()
 	}
-	ctrl := e.findControl()
-	if ctrl == nil {
-		return nil, 0, fmt.Errorf("ni: control %q not found", e.Control)
-	}
-	paramTypes, err := e.paramTypes(ctrl)
+	ctrl, paramTypes, err := e.ControlParams()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -325,12 +336,13 @@ func (e *Experiment) runCompiledFast(code *eval.Compiled, ctrl *ast.ControlDecl,
 	idx := code.ControlIndex(e.Control)
 	machA, machB := e.machines(code)
 	n := len(ctrl.Params)
-	pts := make([]types.SecType, n)
-	samplers := make([]sampler, n)
-	for i, p := range ctrl.Params {
-		pts[i] = paramTypes[p.Name]
-		samplers[i] = compileSampler(pts[i], obs, e.Lat)
+	if e.samplers == nil {
+		e.samplers = make([]sampler, n)
+		for i, p := range ctrl.Params {
+			e.samplers[i] = compileSampler(paramTypes[p.Name], obs, e.Lat)
+		}
 	}
+	samplers := e.samplers
 	// Trial input sequences, reused across trials (values are overwritten
 	// wholesale each trial).
 	seqA := make([][]eval.Value, packets)

@@ -122,17 +122,21 @@ func (o Adaptive) Check(e *Experiment, seed int64) (Result, error) {
 
 // ControlParams resolves the experiment's control block and its
 // parameters' security types — the input surface an alternate oracle
-// enumerates over. Exported for internal/exhaust.
+// enumerates over. The resolution runs once per experiment; later calls
+// return the same (read-only) map. Exported for internal/exhaust.
 func (e *Experiment) ControlParams() (*ast.ControlDecl, map[string]types.SecType, error) {
-	ctrl := e.findControl()
-	if ctrl == nil {
-		return nil, nil, fmt.Errorf("ni: control %q not found", e.Control)
+	if !e.resolved {
+		e.resolved = true
+		if e.ctrl = e.findControl(); e.ctrl == nil {
+			e.setupErr = fmt.Errorf("ni: control %q not found", e.Control)
+		} else {
+			e.params, e.setupErr = e.paramTypes(e.ctrl)
+		}
 	}
-	pts, err := e.paramTypes(ctrl)
-	if err != nil {
-		return nil, nil, err
+	if e.setupErr != nil {
+		return nil, nil, e.setupErr
 	}
-	return ctrl, pts, nil
+	return e.ctrl, e.params, nil
 }
 
 // Engine returns the experiment's compiled program, compiling lazily
