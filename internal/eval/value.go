@@ -187,9 +187,10 @@ func init() {
 	}
 }
 
-// boxBit is NewBit returning an interface value, served from the
-// pre-boxed cache when possible.
-func boxBit(w int, v uint64) Value {
+// BoxBit is NewBit returning an interface value, served from the
+// pre-boxed cache when possible. Exported so input enumerators
+// (internal/exhaust) box leaf values without allocating.
+func BoxBit(w int, v uint64) Value {
 	v = Mask(w, v)
 	if w >= 1 && w <= 16 && v < uint64(len(bitBox[w])) {
 		return bitBox[w][v]

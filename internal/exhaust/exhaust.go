@@ -42,9 +42,10 @@ import (
 )
 
 // DefaultBudget bounds machine runs per observer check when
-// Oracle.Budget is zero. 2^16 keeps a campaign job under ~a tenth of a
-// second; raise it (ISSUE 10 suggests up to 2^24) for proof-grade
-// sweeps of a regression corpus.
+// Oracle.Budget is zero. Generated nightly-campaign controls enumerate at
+// about 2.3M assignments/s on one core of a 2-vCPU x86-64 VM (go1.24), so
+// 2^16 runs keep a campaign job's sweep near 30 ms; raise it (up to 2^24,
+// about 7 s at that rate) for proof-grade sweeps of a regression corpus.
 const DefaultBudget = 1 << 16
 
 // maxDerivedProbes caps the public probes derived from leftover budget
@@ -134,72 +135,20 @@ func (o Oracle) Check(e *ni.Experiment, seed int64) (ni.Result, error) {
 // enumeration happened (false for ineligible experiments, which makes
 // the fallback worthwhile).
 func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Result, bool, error) {
-	inconclusive := func(reason string) (ni.Result, bool, error) {
-		return ni.Result{Outcome: ni.Inconclusive, Reason: reason}, false, nil
-	}
-	if e.Packets > 1 {
-		return inconclusive(ReasonMultiPacket)
-	}
-	if e.FixInputs != nil {
-		return inconclusive(ReasonFixedInputs)
-	}
-	code := e.Engine()
-	if code == nil {
-		return inconclusive(ReasonNoCompile)
-	}
-	_, pts, err := e.ControlParams()
+	sweep, reason, err := newSweeper(e)
 	if err != nil {
 		return ni.Result{}, false, err
 	}
-	idx := code.ControlIndex(e.Control)
-	if idx < 0 {
-		return inconclusive(ReasonNoCompile)
+	if reason == "" && sweep.secretCount > budget {
+		reason = ReasonSecretBudget
 	}
-	names := code.ParamNames(idx)
-	seen := map[string]bool{}
-	for _, n := range names {
-		if seen[n] {
-			return inconclusive(ReasonDuplicateParams)
-		}
-		seen[n] = true
+	if reason != "" {
+		return ni.Result{Outcome: ni.Inconclusive, Reason: reason}, false, nil
 	}
-	obs := e.Observer
-	if obs.IsZero() {
-		obs = e.Lat.Bottom()
-	}
+	sweep.m, _ = e.Machines(e.Engine())
+	p := sweep.plan
 
-	p := &plan{lat: e.Lat, obs: obs}
-	for _, n := range names {
-		st := pts[n]
-		root, reason := p.walk(st)
-		if reason != "" {
-			return inconclusive(reason)
-		}
-		p.params = append(p.params, root)
-		p.ptypes = append(p.ptypes, st)
-	}
-	secretCount, pubCount := uint64(1), uint64(1)
-	for i, lf := range p.leaves {
-		switch {
-		case lf.radix == 0: // public int: no finite domain, drawn per probe
-			p.intLeaves = append(p.intLeaves, i)
-			pubCount = satInf
-		case lf.secret:
-			p.secretIdx = append(p.secretIdx, i)
-			secretCount = satMul(secretCount, lf.radix)
-		default:
-			p.publicIdx = append(p.publicIdx, i)
-			pubCount = satMul(pubCount, lf.radix)
-		}
-	}
-	if secretCount > budget {
-		return inconclusive(ReasonSecretBudget)
-	}
-
-	m, _ := e.Machines(code)
-	sweep := &sweeper{plan: p, m: m, idx: idx, names: names}
-
-	if satMul(secretCount, pubCount) <= budget {
+	if sweep.total(budget) {
 		// Total mode: enumerate the whole public × secret space.
 		pub := newOdometer(p, p.publicIdx)
 		sec := newOdometer(p, p.secretIdx)
@@ -216,28 +165,11 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	}
 
 	// Probe mode: all secrets per randomly drawn public probe.
-	probes := o.Probes
-	if probes <= 0 {
-		probes = maxDerivedProbes
-	}
-	if secretCount > 0 {
-		if max := int(budget / secretCount); probes > max {
-			probes = max
-		}
-	}
-	if probes < 1 {
-		probes = 1
-	}
 	rng := eval.NewBatchRand(seed)
 	defer rng.Release()
 	sec := newOdometer(p, p.secretIdx)
-	for pr := 0; pr < probes; pr++ {
-		for _, li := range p.publicIdx {
-			p.vals[li] = eval.RandomFrom(p.leaves[li].t, rng)
-		}
-		for _, lf := range p.intLeaves {
-			p.vals[lf] = eval.RandomFrom(p.leaves[lf].t, rng)
-		}
+	for pr, probes := 0, sweep.probes(o.Probes, budget); pr < probes; pr++ {
+		p.drawProbe(rng)
 		sec.reset(p)
 		vio, err := sweep.secrets(sec)
 		if err != nil || vio != nil {
@@ -247,13 +179,111 @@ func (o Oracle) enumerate(e *ni.Experiment, seed int64, budget uint64) (ni.Resul
 	return sweep.result(nil, false, nil), true, nil
 }
 
+// newSweeper plans the experiment's input surface and binds the
+// comparators a sweep runs on; the caller checks the budget and binds
+// the machine (s.m). A non-empty reason marks the experiment ineligible
+// for enumeration.
+func newSweeper(e *ni.Experiment) (*sweeper, string, error) {
+	if e.Packets > 1 {
+		return nil, ReasonMultiPacket, nil
+	}
+	if e.FixInputs != nil {
+		return nil, ReasonFixedInputs, nil
+	}
+	code := e.Engine()
+	if code == nil {
+		return nil, ReasonNoCompile, nil
+	}
+	_, pts, err := e.ControlParams()
+	if err != nil {
+		return nil, "", err
+	}
+	cmps, err := e.Comparators()
+	if err != nil {
+		return nil, "", err
+	}
+	idx := code.ControlIndex(e.Control)
+	if idx < 0 {
+		return nil, ReasonNoCompile, nil
+	}
+	names := code.ParamNames(idx)
+	seen := map[string]bool{}
+	for _, n := range names {
+		if seen[n] {
+			return nil, ReasonDuplicateParams, nil
+		}
+		seen[n] = true
+	}
+	obs := e.Observer
+	if obs.IsZero() {
+		obs = e.Lat.Bottom()
+	}
+
+	p := &plan{lat: e.Lat, obs: obs}
+	for _, n := range names {
+		root, reason := p.walk(pts[n])
+		if reason != "" {
+			return nil, reason, nil
+		}
+		p.params = append(p.params, root)
+	}
+	s := &sweeper{plan: p, idx: idx, names: names, cmps: cmps,
+		args: make([]eval.Value, len(p.params)), secretCount: 1, pubCount: 1}
+	for i, lf := range p.leaves {
+		switch {
+		case lf.radix == 0: // public int: no finite domain, drawn per probe
+			p.intLeaves = append(p.intLeaves, i)
+			s.pubCount = satInf
+		case lf.secret:
+			p.secretIdx = append(p.secretIdx, i)
+			s.secretCount = satMul(s.secretCount, lf.radix)
+		default:
+			p.publicIdx = append(p.publicIdx, i)
+			s.pubCount = satMul(s.pubCount, lf.radix)
+		}
+	}
+	return s, "", nil
+}
+
+// total reports whether the whole public × secret space fits the budget.
+func (s *sweeper) total(budget uint64) bool {
+	return satMul(s.secretCount, s.pubCount) <= budget
+}
+
+// probes is the number of public probes a probe-mode sweep draws:
+// requested (0 = maxDerivedProbes), capped by what the budget leaves for
+// full secret sweeps, and at least one.
+func (s *sweeper) probes(requested int, budget uint64) int {
+	probes := requested
+	if probes <= 0 {
+		probes = maxDerivedProbes
+	}
+	if s.secretCount > 0 {
+		if max := int(budget / s.secretCount); probes > max {
+			probes = max
+		}
+	}
+	if probes < 1 {
+		probes = 1
+	}
+	return probes
+}
+
 // sweeper runs one enumerated assignment at a time and compares outputs
-// against the current public state's baseline.
+// against the current public state's baseline. Per assignment it pays
+// for restoring the plan's argument trees, the machine run, and the
+// compiled comparison — nothing is allocated unless a witness is found.
 type sweeper struct {
 	plan  *plan
 	m     *eval.Machine
 	idx   int
 	names []string
+	cmps  []ni.Comparator // per parameter, at the plan's observer
+	args  []eval.Value    // the argument roots, rewritten per run
+
+	// secretCount and pubCount are the sizes of the secret and public
+	// spaces, saturating at satInf.
+	secretCount, pubCount uint64
 
 	runs    uint64
 	base    []eval.Value
@@ -268,12 +298,11 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 	p := s.plan
 	first := true
 	for {
-		args := make([]eval.Value, len(p.params))
 		for i, root := range p.params {
-			args[i] = p.build(root)
+			s.args[i] = p.restore(root)
 		}
 		s.m.Reset()
-		outs, sig, err := s.m.RunIndexed(s.idx, args)
+		outs, sig, err := s.m.RunIndexed(s.idx, s.args)
 		s.runs++
 		if err != nil {
 			return nil, err
@@ -291,7 +320,9 @@ func (s *sweeper) secrets(sec *odometer) (*ni.Violation, error) {
 					A: s.baseSig.String(), B: sig.String()}, nil
 			}
 			for i, v := range outs {
-				if vio, ok := ni.DiffObservable(s.names[i], s.base[i], v, p.ptypes[i], p.obs, p.lat); !ok {
+				if !s.cmps[i].Equal(s.base[i], v) {
+					// Only a witness reaches the heap.
+					vio, _ := s.cmps[i].Diff(s.names[i], s.base[i], v)
 					vio.Trial = int(s.runs)
 					return &vio, nil
 				}

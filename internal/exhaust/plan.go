@@ -30,26 +30,22 @@ type leafInfo struct {
 	secret bool
 }
 
-// Container node kinds.
-const (
-	nodeRecord = iota
-	nodeHeader
-	nodeStack
-)
-
-// node mirrors a parameter's type shape: leaves index into plan.leaves,
-// containers rebuild a fresh value tree per run (RunIndexed takes
-// ownership of containers; scalar leaves are immutable and shared).
+// node mirrors a parameter's type shape. A leaf indexes plan.leaves; a
+// container owns its argument value (a *RecordVal, *HeaderVal or
+// *StackVal) together with the backing Fields/Elems slice, allocated
+// once per sweep. The machine borrows these trees for each run and may
+// rewrite their slots in place; restore rewrites every slot before the
+// next run, which gives the same state as a freshly built tree.
 type node struct {
-	leaf     int // index into plan.leaves, or -1 for a container
-	kind     int
-	names    []string // field names for record/header
+	leaf     int        // index into plan.leaves, or -1 for a container
+	val      eval.Value // the owned container value (nil for a leaf)
+	names    []string   // field names for record/header
 	children []*node
 }
 
 // plan is the flattened enumeration state: one slot per scalar leaf,
 // odometers spinning the secret (and, in total mode, public) slots, and
-// per-param shape trees rebuilding argument values from the slots.
+// per-param shape trees restoring argument values from the slots.
 type plan struct {
 	lat lattice.Lattice
 	obs lattice.Label
@@ -58,7 +54,6 @@ type plan struct {
 	vals   []eval.Value
 
 	params []*node
-	ptypes []types.SecType
 
 	secretIdx []int // enumerable secret leaves
 	publicIdx []int // enumerable public leaves
@@ -86,13 +81,14 @@ func (p *plan) walk(st types.SecType) (*node, string) {
 	switch tt := st.T.(type) {
 	case *types.Record, *types.Header:
 		var fields []types.Field
-		kind := nodeRecord
+		n := &node{leaf: -1}
 		if h, ok := tt.(*types.Header); ok {
-			fields, kind = h.Fields, nodeHeader
+			fields = h.Fields
+			n.val = &eval.HeaderVal{Fields: make([]eval.NamedValue, len(fields))}
 		} else {
 			fields = tt.(*types.Record).Fields
+			n.val = &eval.RecordVal{Fields: make([]eval.NamedValue, len(fields))}
 		}
-		n := &node{leaf: -1, kind: kind}
 		for _, f := range fields {
 			c, reason := p.walk(f.Type)
 			if reason != "" {
@@ -103,7 +99,7 @@ func (p *plan) walk(st types.SecType) (*node, string) {
 		}
 		return n, ""
 	case *types.Stack:
-		n := &node{leaf: -1, kind: nodeStack}
+		n := &node{leaf: -1, val: &eval.StackVal{Elems: make([]eval.Value, tt.Size)}}
 		for i := 0; i < tt.Size; i++ {
 			c, reason := p.walk(tt.Elem)
 			if reason != "" {
@@ -117,28 +113,39 @@ func (p *plan) walk(st types.SecType) (*node, string) {
 	}
 }
 
-// build assembles a fresh argument value tree for one run from the
-// current leaf slots.
-func (p *plan) build(n *node) eval.Value {
+// restore rewrites every slot n owns from the current leaf slots — field
+// names and values, stack elements, header validity — undoing whatever
+// the previous run wrote, and returns n's argument value.
+func (p *plan) restore(n *node) eval.Value {
 	if n.leaf >= 0 {
 		return p.vals[n.leaf]
 	}
-	switch n.kind {
-	case nodeStack:
-		es := make([]eval.Value, len(n.children))
+	switch v := n.val.(type) {
+	case *eval.RecordVal:
+		p.restoreFields(n, v.Fields)
+	case *eval.HeaderVal:
+		v.Valid = true
+		p.restoreFields(n, v.Fields)
+	case *eval.StackVal:
 		for i, c := range n.children {
-			es[i] = p.build(c)
+			if c.leaf >= 0 {
+				v.Elems[i] = p.vals[c.leaf]
+			} else {
+				v.Elems[i] = p.restore(c)
+			}
 		}
-		return &eval.StackVal{Elems: es}
-	default:
-		fs := make([]eval.NamedValue, len(n.children))
-		for i, c := range n.children {
-			fs[i] = eval.NamedValue{Name: n.names[i], Val: p.build(c)}
+	}
+	return n.val
+}
+
+func (p *plan) restoreFields(n *node, fs []eval.NamedValue) {
+	for i, c := range n.children {
+		fs[i].Name = n.names[i]
+		if c.leaf >= 0 {
+			fs[i].Val = p.vals[c.leaf]
+		} else {
+			fs[i].Val = p.restore(c)
 		}
-		if n.kind == nodeHeader {
-			return &eval.HeaderVal{Valid: true, Fields: fs}
-		}
-		return &eval.RecordVal{Fields: fs}
 	}
 }
 
@@ -175,7 +182,7 @@ func leafValue(t types.Type, d uint64) eval.Value {
 	case types.Bool:
 		return eval.BoolVal(d == 1)
 	case types.Bit:
-		return eval.NewBit(t.W, d)
+		return eval.BoxBit(t.W, d)
 	case types.Unit:
 		return eval.UnitVal{}
 	case *types.MatchKind:
@@ -191,6 +198,17 @@ func leafValue(t types.Type, d uint64) eval.Value {
 
 // zeroValue is digit 0 of a leaf's domain.
 func zeroValue(t types.Type) eval.Value { return leafValue(t, 0) }
+
+// drawProbe draws a random public state: every public leaf, int-typed
+// ones included.
+func (p *plan) drawProbe(rng eval.Rng) {
+	for _, li := range p.publicIdx {
+		p.vals[li] = eval.RandomFrom(p.leaves[li].t, rng)
+	}
+	for _, li := range p.intLeaves {
+		p.vals[li] = eval.RandomFrom(p.leaves[li].t, rng)
+	}
+}
 
 // odometer spins a subset of the plan's leaf slots through their full
 // cartesian domain, least-significant first. After a full cycle

@@ -35,11 +35,12 @@ import (
 //
 // An Experiment caches its per-program setup across runs: the compiled
 // program (see Code), the resolved control and its parameter types, the
-// compiled input samplers, and the machine pair trials run on. Every
-// round of RunAdaptive and every oracle over the same Experiment reuses
-// them, so the configuration fields must not change after the first run.
-// The caches and machines are mutable state, so an Experiment is not safe
-// for concurrent use; give each goroutine its own.
+// compiled input samplers and observable comparators, and the machine
+// pair trials run on. Every round of RunAdaptive and every oracle over
+// the same Experiment reuses them, so the configuration fields must not
+// change after the first run. The caches and machines are mutable state,
+// so an Experiment is not safe for concurrent use; give each goroutine
+// its own.
 type Experiment struct {
 	// Prog is the (parsed) program under test.
 	Prog *ast.Program
@@ -91,7 +92,16 @@ type Experiment struct {
 	ctrl     *ast.ControlDecl
 	params   map[string]types.SecType
 	setupErr error
-	samplers []sampler // the fast path's input plans, built on first use
+	samplers []sampler    // the fast path's input plans, built on first use
+	cmps     []Comparator // per-parameter observable comparators, built on first use
+}
+
+// observer is the adversary's label: Observer, or the lattice bottom.
+func (e *Experiment) observer() lattice.Label {
+	if e.Observer.IsZero() {
+		return e.Lat.Bottom()
+	}
+	return e.Observer
 }
 
 // engine returns the compiled program to run trials on, compiling lazily
@@ -170,10 +180,7 @@ func (e *Experiment) runN(trials int, seed int64) ([]Violation, int, error) {
 	// any recorded corpus seed) draw exactly the same trials.
 	rng := eval.NewBatchRand(seed)
 	defer rng.Release()
-	obs := e.Observer
-	if obs.IsZero() {
-		obs = e.Lat.Bottom()
-	}
+	obs := e.observer()
 	ctrl, paramTypes, err := e.ControlParams()
 	if err != nil {
 		return nil, 0, err
@@ -343,6 +350,10 @@ func (e *Experiment) runCompiledFast(code *eval.Compiled, ctrl *ast.ControlDecl,
 		}
 	}
 	samplers := e.samplers
+	cmps, err := e.Comparators()
+	if err != nil {
+		return nil, 0, err
+	}
 	// Trial input sequences, reused across trials (values are overwritten
 	// wholesale each trial).
 	seqA := make([][]eval.Value, packets)
@@ -382,7 +393,8 @@ func (e *Experiment) runCompiledFast(code *eval.Compiled, ctrl *ast.ControlDecl,
 				break
 			}
 			for i, p := range ctrl.Params {
-				if v, ok := samplers[i].diff(outsA[k][i], outsB[k][i]); !ok {
+				if !cmps[i].Equal(outsA[k][i], outsB[k][i]) {
+					v, _ := cmps[i].diff(outsA[k][i], outsB[k][i])
 					if packets > 1 {
 						v.Where = fmt.Sprintf("packet %d: %s%s", k, p.Name, v.Where)
 					} else {
@@ -525,17 +537,16 @@ func (e *Experiment) paramTypes(ctrl *ast.ControlDecl) (map[string]types.SecType
 }
 
 // sampler is a per-parameter trial plan with the type walk, field lookups,
-// and lattice queries of RandomFrom / randomizeAbove / diffObservable
-// resolved at experiment setup: draw builds a fresh random input (same rng
-// consumption as eval.RandomFrom), vary is randomizeAbove (same draws),
-// and diff is diffObservable with lazily built witness paths. Only the
-// indexed fast path uses samplers — its values are always sampler-built,
-// so positional field access is safe; the map path keeps the generic
-// walks since FixInputs may reshape values arbitrarily.
+// and lattice queries of RandomFrom / randomizeAbove resolved at
+// experiment setup: draw builds a fresh random input (same rng
+// consumption as eval.RandomFrom) and vary is randomizeAbove (same
+// draws). Only the indexed fast path uses samplers — its values are
+// always sampler-built, so positional field access is safe; the map path
+// keeps the generic walks since FixInputs may reshape values arbitrarily.
+// Outputs are compared by the experiment's Comparators.
 type sampler struct {
 	draw func(rng eval.Rng) eval.Value
 	vary func(v eval.Value, rng eval.Rng) eval.Value
-	diff func(a, b eval.Value) (Violation, bool)
 }
 
 func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sampler {
@@ -544,15 +555,8 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 		s := sampler{draw: func(rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }}
 		if lat.Leq(t.L, obs) {
 			s.vary = func(v eval.Value, _ eval.Rng) eval.Value { return v }
-			s.diff = func(a, b eval.Value) (Violation, bool) {
-				if !eval.ValueEqual(a, b) {
-					return Violation{A: a.String(), B: b.String()}, false
-				}
-				return Violation{}, true
-			}
 		} else {
 			s.vary = func(_ eval.Value, rng eval.Rng) eval.Value { return eval.RandomFrom(tt, rng) }
-			s.diff = func(a, b eval.Value) (Violation, bool) { return Violation{}, true }
 		}
 		return s
 	}
@@ -578,20 +582,6 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 				}
 				return &eval.RecordVal{Fields: fs}
 			},
-			diff: func(a, b eval.Value) (Violation, bool) {
-				ra, ok1 := a.(*eval.RecordVal)
-				rb, ok2 := b.(*eval.RecordVal)
-				if !ok1 || !ok2 || len(ra.Fields) != len(subs) || len(rb.Fields) != len(subs) {
-					return diffObs(a, b, t, obs, lat)
-				}
-				for i := range subs {
-					if v, ok := subs[i].diff(ra.Fields[i].Val, rb.Fields[i].Val); !ok {
-						v.Where = "." + names[i] + v.Where
-						return v, false
-					}
-				}
-				return Violation{}, true
-			},
 		}
 	case *types.Header:
 		names, subs := fieldSamplers(tt.Fields, obs, lat)
@@ -613,20 +603,6 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 					fs[i] = eval.NamedValue{Name: names[i], Val: subs[i].vary(hv.Fields[i].Val, rng)}
 				}
 				return &eval.HeaderVal{Valid: hv.Valid, Fields: fs}
-			},
-			diff: func(a, b eval.Value) (Violation, bool) {
-				ha, ok1 := a.(*eval.HeaderVal)
-				hb, ok2 := b.(*eval.HeaderVal)
-				if !ok1 || !ok2 || len(ha.Fields) != len(subs) || len(hb.Fields) != len(subs) {
-					return diffObs(a, b, t, obs, lat)
-				}
-				for i := range subs {
-					if v, ok := subs[i].diff(ha.Fields[i].Val, hb.Fields[i].Val); !ok {
-						v.Where = "." + names[i] + v.Where
-						return v, false
-					}
-				}
-				return Violation{}, true
 			},
 		}
 	case *types.Stack:
@@ -651,26 +627,11 @@ func compileSampler(t types.SecType, obs lattice.Label, lat lattice.Lattice) sam
 				}
 				return &eval.StackVal{Elems: es}
 			},
-			diff: func(a, b eval.Value) (Violation, bool) {
-				sa, ok1 := a.(*eval.StackVal)
-				sb, ok2 := b.(*eval.StackVal)
-				if !ok1 || !ok2 || len(sa.Elems) != len(sb.Elems) {
-					return Violation{}, true
-				}
-				for i := range sa.Elems {
-					if v, ok := el.diff(sa.Elems[i], sb.Elems[i]); !ok {
-						v.Where = fmt.Sprintf("[%d]%s", i, v.Where)
-						return v, false
-					}
-				}
-				return Violation{}, true
-			},
 		}
 	default:
 		return sampler{
 			draw: func(rng eval.Rng) eval.Value { return eval.RandomFrom(t.T, rng) },
 			vary: func(v eval.Value, _ eval.Rng) eval.Value { return v },
-			diff: func(a, b eval.Value) (Violation, bool) { return Violation{}, true },
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
-	"repro/internal/lattice"
 	"repro/internal/types"
 )
 
@@ -139,6 +138,26 @@ func (e *Experiment) ControlParams() (*ast.ControlDecl, map[string]types.SecType
 	return e.ctrl, e.params, nil
 }
 
+// Comparators returns one compiled observable comparator per control
+// parameter, in declaration order, at the experiment's observer (zero
+// means the lattice bottom) — the comparison both the sampling fast path
+// and internal/exhaust run on every output. Built once per experiment;
+// later calls return the same slice.
+func (e *Experiment) Comparators() ([]Comparator, error) {
+	ctrl, params, err := e.ControlParams()
+	if err != nil {
+		return nil, err
+	}
+	if e.cmps == nil {
+		obs := e.observer()
+		e.cmps = make([]Comparator, len(ctrl.Params))
+		for i, p := range ctrl.Params {
+			e.cmps[i] = newComparator(params[p.Name], obs, e.Lat)
+		}
+	}
+	return e.cmps, nil
+}
+
 // Engine returns the experiment's compiled program, compiling lazily
 // like RunN does; nil means only the tree-walking interpreter is
 // available (Interp set, or compilation failed).
@@ -150,12 +169,4 @@ func (e *Experiment) Engine() *eval.Compiled { return e.engine() }
 // randomized trials already allocated.
 func (e *Experiment) Machines(code *eval.Compiled) (*eval.Machine, *eval.Machine) {
 	return e.machines(code)
-}
-
-// DiffObservable compares the observable (χ ⊑ obs) scalar leaves of a
-// and b under t; on a mismatch it returns the witness (Where prefixed
-// with path) and false. Exported for oracles that compare outputs
-// outside the trial loop.
-func DiffObservable(path string, a, b eval.Value, t types.SecType, obs lattice.Label, lat lattice.Lattice) (Violation, bool) {
-	return diffObservable(path, a, b, t, obs, lat)
 }
