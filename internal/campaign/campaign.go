@@ -849,7 +849,7 @@ func (e *engine) finalize(p pendingFinding, minimize bool) {
 		OriginalBytes: len(p.source),
 	}
 	if minimize {
-		if res, err := shrink.Minimize(p.name, f.Source, e.keepClass(class, v, idx)); err == nil {
+		if res, err := shrink.MinimizeParsed(p.name, f.Source, e.keepClass(class, v, idx)); err == nil {
 			if len(res.Source) < len(f.Source) {
 				f.Minimized = true
 				e.rep.Minimized++
@@ -932,36 +932,32 @@ func minimizedTag(f Finding) string {
 	return fmt.Sprintf(", minimized from %d", f.OriginalBytes)
 }
 
-// keepClass is the shrinker predicate: the candidate must land in the same
-// corpus class as the original finding.
-func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.Keep {
+// keepClass is the shrinker predicate: the candidate, handed over already
+// parsed, must land in the same corpus class as the original finding.
+func (e *engine) keepClass(class Class, v difftest.Verdict, idx int64) shrink.KeepParsed {
 	if class == ClassParserDisagreement {
-		return func(cand string) bool {
-			prog, err := parser.Parse("cand.p4", cand)
-			if err != nil {
-				return false
-			}
+		return func(_ string, prog *ast.Program) bool {
 			_, bad := roundtripDisagreement("cand.p4", prog)
 			return bad
 		}
 	}
-	return func(cand string) bool {
-		sum, err := pipeline.Run(e.ctx, []pipeline.Job{{Name: "cand.p4", Source: cand, Lat: e.lat}}, pipeline.Options{
-			Workers:       1,
-			NI:            pipeline.NIAll,
-			NITrials:      e.trials,
-			NITrialsMax:   e.max,
-			NISeed:        e.cfg.Seed + idx, // same NI randomness as the original job
-			Oracle:        e.cfg.NIOracle,   // class must be judged under the same oracle
-			ExhaustBudget: e.cfg.ExhaustBudget,
-			ExhaustProbes: e.cfg.ExhaustProbes,
-			Metrics:       e.met, // shrink replays are real pipeline work
-		})
+	opts := pipeline.Options{
+		Workers:       1,
+		NI:            pipeline.NIAll,
+		NITrials:      e.trials,
+		NITrialsMax:   e.max,
+		NISeed:        e.cfg.Seed + idx, // same NI randomness as the original job
+		Oracle:        e.cfg.NIOracle,   // class must be judged under the same oracle
+		ExhaustBudget: e.cfg.ExhaustBudget,
+		ExhaustProbes: e.cfg.ExhaustProbes,
+		Metrics:       e.met, // shrink replays are real pipeline work
+	}
+	return func(cand string, prog *ast.Program) bool {
+		sum, err := pipeline.Run(e.ctx, []pipeline.Job{{Name: "cand.p4", Source: cand, Prog: prog, Lat: e.lat}}, opts)
 		if err != nil || len(sum.Results) != 1 {
 			return false
 		}
-		got, _ := difftest.Classify(&sum.Results[0])
-		return got == v
+		return difftest.VerdictOf(&sum.Results[0]) == v
 	}
 }
 

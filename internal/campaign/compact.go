@@ -29,6 +29,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/corpus"
 	"repro/internal/events"
 	"repro/internal/metrics"
@@ -46,6 +47,10 @@ type CompactConfig struct {
 	// metadata predates budget recording (campaign defaults).
 	NITrials    int
 	NITrialsMax int
+	// Workers bounds the pool that re-checks and re-minimizes entries
+	// (<= 0 = GOMAXPROCS). The corpus, report, log, and events do not
+	// depend on it.
+	Workers int
 	// Log receives one line per rewritten or collapsed entry (nil =
 	// discard).
 	Log io.Writer
@@ -89,15 +94,15 @@ func (r *CompactReport) OK() bool { return len(r.Errors) == 0 }
 // folds newly-equal dedup keys together, promote-first so no finding is
 // lost mid-compaction. The returned error is a context or corpus-I/O
 // failure; per-entry problems land in CompactReport.Errors.
+//
+// Each entry is read, re-checked, and shrunk on a pool of cfg.Workers
+// goroutines; none of that touches the corpus. One fold then applies the
+// results in entry order — the dedup check, Put, Remove, report, log, and
+// events — so the compacted corpus and everything reported are the same
+// at any pool size. On cancellation the entries folded so far stay
+// compacted and the rest untouched.
 func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
-	trials := cfg.NITrials
-	if trials <= 0 {
-		trials = 4
-	}
-	max := cfg.NITrialsMax
-	if max <= 0 {
-		max = 8 * trials
-	}
+	trials, max := replayBudget(cfg.NITrials, cfg.NITrialsMax)
 	log := cfg.Log
 	if log == nil {
 		log = io.Discard
@@ -146,72 +151,60 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 		entries = append(entries, e)
 	}
 	total := len(entries)
-	for i, e := range entries {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return rep, ctxErr
-		}
-		m := e.Meta
-		src, err := e.Source()
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
-			continue
+	work := func(i int) compacted { return compactOne(ctx, entries[i], trials, max) }
+	fold := func(i int, r compacted) {
+		e := entries[i]
+		entries[i] = nil
+		if r.unread {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, r.err))
+			return
 		}
 		rep.Total++
-		got, _, err := replayOne(ctx, m, src, trials, max)
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
-			continue
+		if r.err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, r.err))
+			return
 		}
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindJobDone, Op: "compact",
-			Index: int64(i), Class: got, Key: m.Key, Path: e.Path,
+			Index: int64(i), Class: r.got, Key: e.Meta.Key, Path: e.Path,
 		})
-		if got != string(m.Class) {
+		switch {
+		case r.got != string(e.Meta.Class):
 			rep.Skipped++
-			continue
-		}
-		// Minimize under the entry's own recorded replay budget: a
-		// candidate is kept iff it replays to the recorded class, so the
-		// compacted entry replays clean by construction.
-		keep := func(cand string) bool {
-			g, _, err := replayOne(ctx, m, cand, trials, max)
-			return err == nil && g == string(m.Class)
-		}
-		name := strings.TrimSuffix(e.Name, ".json") + ".p4"
-		res, err := shrink.Minimize(name, src, keep)
-		if err != nil || len(res.Source) >= len(src) {
-			continue // already minimal (or unshrinkable) — leave as is
-		}
-		newKey := corpus.DedupKey(m.Class, res.Source)
-		if corp.Has(newKey) {
+		case r.key == "":
+			// already minimal (or unshrinkable) — leave as is
+		case corp.Has(r.key):
 			// The minimized form is an existing finding: the two entries
 			// were one defect all along. The survivor shares the dedup
 			// key's class, so no verdict class is lost.
 			if err := corp.Remove(e); err != nil {
 				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
-				continue
+				return
 			}
 			rep.Collapsed++
-			rep.BytesSaved += len(src)
-			fmt.Fprintf(log, "collapsed: %s onto %.12s (%d bytes freed)\n", e.Path, newKey, len(src))
-			continue
+			rep.BytesSaved += r.srcLen
+			fmt.Fprintf(log, "collapsed: %s onto %.12s (%d bytes freed)\n", e.Path, r.key, r.srcLen)
+		default:
+			nm := e.Meta
+			nm.Key = r.key
+			nm.Bytes = len(r.min)
+			nm.Minimized = true
+			path, err := corp.Put(nm, r.min)
+			if err != nil {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: rewrite: %v", e.Path, err))
+				return
+			}
+			if err := corp.Remove(e); err != nil {
+				rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
+				return
+			}
+			rep.Minimized++
+			rep.BytesSaved += r.srcLen - len(r.min)
+			fmt.Fprintf(log, "minimized: %s -> %s (%d -> %d bytes)\n", e.Path, path, r.srcLen, len(r.min))
 		}
-		nm := m
-		nm.Key = newKey
-		nm.Bytes = len(res.Source)
-		nm.Minimized = true
-		path, err := corp.Put(nm, res.Source)
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: rewrite: %v", e.Path, err))
-			continue
-		}
-		if err := corp.Remove(e); err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: remove: %v", e.Path, err))
-			continue
-		}
-		rep.Minimized++
-		rep.BytesSaved += len(src) - len(res.Source)
-		fmt.Fprintf(log, "minimized: %s -> %s (%d -> %d bytes)\n", e.Path, path, len(src), len(res.Source))
+	}
+	if err := foldInOrder(ctx, total, cfg.Workers, work, fold); err != nil {
+		return rep, err
 	}
 	if err := corp.SaveIndex(); err != nil {
 		fmt.Fprintf(log, "compact: %v (index rebuilt on next open)\n", err)
@@ -221,6 +214,51 @@ func Compact(ctx context.Context, cfg CompactConfig) (*CompactReport, error) {
 	})
 	sort.Strings(rep.Errors)
 	return rep, nil
+}
+
+// compacted is one entry's share of a compaction that needs no corpus
+// access: its replayed class and, when it shrank, the smaller form.
+type compacted struct {
+	unread bool   // the source could not be read (err says why)
+	err    error  // read or replay failure
+	got    string // the replayed class
+	srcLen int
+	// min is the strictly smaller form that replays to the recorded
+	// class, and key its dedup key; both "" when the entry did not shrink.
+	min, key string
+}
+
+// compactOne reads and re-checks e and, when it still reproduces its
+// recorded class, re-minimizes it under its own recorded replay budget: a
+// candidate is kept iff it replays to the recorded class, so the
+// compacted entry replays clean by construction.
+func compactOne(ctx context.Context, e *corpus.Entry, trials, max int) compacted {
+	src, err := e.Source()
+	if err != nil {
+		return compacted{unread: true, err: err}
+	}
+	m := e.Meta
+	rp := newReplayer(ctx, m, trials, max)
+	got, _, err := rp.replay(src, nil, false)
+	r := compacted{err: err, got: got, srcLen: len(src)}
+	if err != nil || got != string(m.Class) {
+		return r
+	}
+	keep := func(cand string, prog *ast.Program) bool {
+		if cand == src {
+			return true // replayed to its class just above
+		}
+		if ctx.Err() != nil {
+			return false // cancelled: finish the sweep without replaying
+		}
+		g, _, err := rp.replay(cand, prog, false)
+		return err == nil && g == string(m.Class)
+	}
+	name := strings.TrimSuffix(e.Name, ".json") + ".p4"
+	if res, err := shrink.MinimizeParsed(name, src, keep); err == nil && len(res.Source) < len(src) {
+		r.min, r.key = res.Source, corpus.DedupKey(m.Class, res.Source)
+	}
+	return r
 }
 
 // FormatCompactReport renders a compaction's outcome.

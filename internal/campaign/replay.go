@@ -16,9 +16,11 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/ast"
 	"repro/internal/corpus"
 	"repro/internal/difftest"
 	"repro/internal/events"
+	"repro/internal/lattice"
 	"repro/internal/parser"
 	"repro/internal/pipeline"
 )
@@ -39,6 +41,9 @@ type ReplayConfig struct {
 	// defaults). Findings recorded with their budget replay under it.
 	NITrials    int
 	NITrialsMax int
+	// Workers bounds the pool that re-checks entries (<= 0 =
+	// GOMAXPROCS). The report, log, and events do not depend on it.
+	Workers int
 	// Log receives one line per drifted finding (nil = discard).
 	Log io.Writer
 	// Events receives the replay's structured event stream (job-done per
@@ -82,15 +87,12 @@ func (r *ReplayReport) OK() bool { return len(r.Drifts) == 0 && len(r.Errors) ==
 // Replay re-checks every persisted finding under dir against the current
 // checker stack. The returned error is a context or corpus-I/O failure;
 // drift is reported in the ReplayReport, not as an error.
+//
+// Entries are re-checked on a pool of cfg.Workers goroutines; one fold
+// builds the report, writes the log, and emits the events in entry order,
+// so all three are the same at any pool size.
 func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
-	trials := cfg.NITrials
-	if trials <= 0 {
-		trials = 4
-	}
-	max := cfg.NITrialsMax
-	if max <= 0 {
-		max = 8 * trials
-	}
+	trials, max := replayBudget(cfg.NITrials, cfg.NITrialsMax)
 	log := cfg.Log
 	if log == nil {
 		log = io.Discard
@@ -110,43 +112,60 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 			return rep, fmt.Errorf("campaign: replay: %w", err)
 		}
 	}
-	var seq int64
-	for e, err := range c.Entries() {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return rep, ctxErr
+	var entries []*corpus.Entry
+	for e := range c.Entries() {
+		entries = append(entries, e)
+	}
+	type replayed struct {
+		got, detail string
+		err         error // unreadable source or unresolvable lattice
+	}
+	work := func(i int) (r replayed) {
+		e := entries[i]
+		if e.Err != nil {
+			return
 		}
+		src, err := e.Source()
 		if err != nil {
-			rep.Errors = append(rep.Errors, err.Error())
-			continue
+			r.err = err
+			return
+		}
+		r.got, r.detail, r.err = newReplayer(ctx, e.Meta, trials, max).replay(src, nil, true)
+		return
+	}
+	var seq int64
+	fold := func(i int, r replayed) {
+		e := entries[i]
+		entries[i] = nil
+		if e.Err != nil {
+			rep.Errors = append(rep.Errors, e.Err.Error())
+			return
 		}
 		rep.Total++
 		rep.ByClass[e.Meta.Class]++
-		src, err := e.Source()
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
-			continue
-		}
-		got, detail, err := replayOne(ctx, e.Meta, src, trials, max)
-		if err != nil {
-			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, err))
-			continue
+		if r.err != nil {
+			rep.Errors = append(rep.Errors, fmt.Sprintf("%s: %v", e.Path, r.err))
+			return
 		}
 		cfg.Events.Emit(events.Event{
 			Kind: events.KindJobDone, Op: "replay",
-			Index: seq, Class: got, Key: e.Meta.Key, Path: e.Path,
+			Index: seq, Class: r.got, Key: e.Meta.Key, Path: e.Path,
 		})
 		seq++
-		if got != string(e.Meta.Class) {
-			rep.Drifts = append(rep.Drifts, Drift{Path: e.Path, Recorded: e.Meta.Class, Got: got, Detail: detail})
+		if r.got != string(e.Meta.Class) {
+			rep.Drifts = append(rep.Drifts, Drift{Path: e.Path, Recorded: e.Meta.Class, Got: r.got, Detail: r.detail})
 			cfg.Events.Emit(events.Event{
 				Kind: events.KindDrift, Op: "replay",
-				Class: string(e.Meta.Class), Detail: fmt.Sprintf("now %s: %s", got, detail),
+				Class: string(e.Meta.Class), Detail: fmt.Sprintf("now %s: %s", r.got, r.detail),
 				Key: e.Meta.Key, Path: e.Path,
 			})
-			fmt.Fprintf(log, "drift: %s recorded %s, now %s (%s)\n", e.Path, e.Meta.Class, got, detail)
+			fmt.Fprintf(log, "drift: %s recorded %s, now %s (%s)\n", e.Path, e.Meta.Class, r.got, r.detail)
 		} else {
 			rep.Reproduced++
 		}
+	}
+	if err := foldInOrder(ctx, len(entries), cfg.Workers, work, fold); err != nil {
+		return rep, err
 	}
 	cfg.Events.Emit(events.Event{
 		Kind: events.KindProgress, Op: "replay", Done: rep.Total, Total: rep.Total,
@@ -154,42 +173,39 @@ func Replay(ctx context.Context, cfg ReplayConfig) (*ReplayReport, error) {
 	return rep, nil
 }
 
-// replayOne re-classifies one finding. The returned string is the corpus
-// class the current stack assigns, or a description when the result has
-// no corpus class ("sound", "rejected-witnessed", "roundtrip-clean", ...).
-func replayOne(ctx context.Context, m Meta, src string, trials, max int) (string, string, error) {
-	// A persisted program the frontend no longer parses drifts to
-	// "unparseable" uniformly, whatever its recorded class. Verdict
-	// classes used to skip this check and fall into the pipeline, where
-	// the parse failure resurfaced as a generator-bug verdict — so an
-	// unparseable rejected-clean entry drifted to the wrong class and was
-	// then double-reported by retire's fingerprint pass. Generator-bug
-	// entries are exempt: an unparseable program can be exactly the
-	// recorded defect, and the pipeline reproduces it as such.
-	if m.Class != ClassGeneratorBug {
-		prog, err := parser.Parse("replay.p4", src)
-		if err != nil {
-			return "unparseable", err.Error(), nil
-		}
-		if m.Class == ClassParserDisagreement || m.Class == ClassRoundtripClean {
-			if detail, bad := roundtripDisagreement("replay.p4", prog); bad {
-				return string(ClassParserDisagreement), detail, nil
-			}
-			return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", nil
-		}
+// replayBudget resolves the NI budget for entries whose metadata predates
+// budget recording: the campaign defaults unless configured.
+func replayBudget(trials, max int) (int, int) {
+	if trials <= 0 {
+		trials = 4
 	}
+	if max <= 0 {
+		max = 8 * trials
+	}
+	return trials, max
+}
 
-	lat, err := m.Gen.ResolveLattice()
-	if err != nil {
-		return "", "", err
-	}
+// replayer re-classifies one finding's program, or a candidate derived
+// from it, under the finding's recorded NI seed, budget, and oracle. It
+// belongs to one goroutine; the entry's lattice is resolved on first need
+// and reused for every later candidate.
+type replayer struct {
+	ctx    context.Context
+	m      Meta
+	opts   pipeline.Options
+	lat    lattice.Lattice
+	latErr error
+	latSet bool
+}
+
+func newReplayer(ctx context.Context, m Meta, trials, max int) *replayer {
 	if m.NITrials > 0 {
 		trials = m.NITrials
 	}
 	if m.NITrialsMax > 0 {
 		max = m.NITrialsMax
 	}
-	sum, err := pipeline.Run(ctx, []pipeline.Job{{Name: "replay.p4", Source: src, Lat: lat}}, pipeline.Options{
+	return &replayer{ctx: ctx, m: m, opts: pipeline.Options{
 		Workers:     1,
 		NI:          pipeline.NIAll,
 		NITrials:    trials,
@@ -203,14 +219,56 @@ func replayOne(ctx context.Context, m Meta, src string, trials, max int) (string
 		Oracle:        m.NIOracle,
 		ExhaustBudget: m.ExhaustBudget,
 		ExhaustProbes: m.ExhaustProbes,
-	})
+	}}
+}
+
+// replay re-classifies src; prog, when non-nil, is src already parsed and
+// is handed over to the pipeline. The returned string is the corpus class
+// the current stack assigns, or a description when the result has no
+// corpus class ("sound", "rejected-witnessed", "roundtrip-clean", ...).
+// The detail explaining it is formatted only when withDetail is set.
+func (r *replayer) replay(src string, prog *ast.Program, withDetail bool) (string, string, error) {
+	// A persisted program the frontend no longer parses drifts to
+	// "unparseable" uniformly, whatever its recorded class. Verdict
+	// classes used to skip this check and fall into the pipeline, where
+	// the parse failure resurfaced as a generator-bug verdict — so an
+	// unparseable rejected-clean entry drifted to the wrong class and was
+	// then double-reported by retire's fingerprint pass. Generator-bug
+	// entries are exempt: an unparseable program can be exactly the
+	// recorded defect, and the pipeline reproduces it as such.
+	if prog == nil && r.m.Class != ClassGeneratorBug {
+		var err error
+		if prog, err = parser.Parse("replay.p4", src); err != nil {
+			return "unparseable", err.Error(), nil
+		}
+	}
+	if r.m.Class == ClassParserDisagreement || r.m.Class == ClassRoundtripClean {
+		if detail, bad := roundtripDisagreement("replay.p4", prog); bad {
+			return string(ClassParserDisagreement), detail, nil
+		}
+		return string(ClassRoundtripClean), "parse → print → reparse is now a fixed point", nil
+	}
+
+	if !r.latSet {
+		r.lat, r.latErr = r.m.Gen.ResolveLattice()
+		r.latSet = true
+	}
+	if r.latErr != nil {
+		return "", "", r.latErr
+	}
+	sum, err := pipeline.Run(r.ctx, []pipeline.Job{{Name: "replay.p4", Source: src, Prog: prog, Lat: r.lat}}, r.opts)
 	if err != nil {
 		return "", "", err
 	}
 	if len(sum.Results) != 1 {
 		return "", "", fmt.Errorf("replay produced %d results", len(sum.Results))
 	}
-	v, detail := difftest.Classify(&sum.Results[0])
+	res := &sum.Results[0]
+	v := difftest.VerdictOf(res)
+	detail := ""
+	if withDetail {
+		detail = difftest.Detail(v, res)
+	}
 	if class, ok := classOf(v); ok {
 		return string(class), detail, nil
 	}

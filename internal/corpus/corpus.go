@@ -15,11 +15,11 @@
 // corrupt — and caches every entry's metadata and load error, but reads
 // no program source. Entry.Source, Entry.Program, and Entry.Fingerprint
 // defer the file read and the parse until a consumer first asks, and
-// each happens at most once per handle no matter how many consumers
-// share it; Has, Stats, Filter, and Select are answered entirely from
-// the index. Staleness is detected from directory metadata alone (file
-// name set, sizes, mtimes), so a valid index makes Open one ReadDir plus
-// one small JSON read regardless of corpus size.
+// each result is computed at most once per handle no matter how many
+// consumers share it; Has, Stats, Filter, and Select are answered
+// entirely from the index. Staleness is detected from directory metadata
+// alone (file name set, sizes, mtimes), so a valid index makes Open one
+// ReadDir plus one small JSON read regardless of corpus size.
 //
 // The layout is merge-friendly by construction: finding filenames derive
 // from a hash of (class, source), so copying the findings/ directories of
@@ -37,6 +37,7 @@ import (
 	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -230,9 +231,13 @@ type Entry struct {
 	srcErr  error
 
 	parseOnce sync.Once
+	parsed    atomic.Bool // parseOnce has completed: prog and parseErr are final
 	prog      *ast.Program
 	parseErr  error
-	fp        string
+
+	fpOnce sync.Once
+	fp     string
+	fpErr  error
 }
 
 // Source reads the entry's program source, at most once per handle —
@@ -259,29 +264,47 @@ func (e *Entry) Source() (string, error) {
 }
 
 // Program parses the entry's source, at most once per Open — every later
-// call (and Fingerprint) returns the cached result, so triage, the seed
-// pool, and any other consumer sharing the handle never re-parse. The
-// source itself is lazily read by the first call.
+// call returns the cached tree, so the seed pool and any other consumer
+// sharing the handle never re-parse (and a later Fingerprint hashes it).
+// The source itself is lazily read by the first call.
 func (e *Entry) Program() (*ast.Program, error) {
 	e.parseOnce.Do(func() {
+		defer e.parsed.Store(true)
 		src, err := e.Source()
 		if err != nil {
 			e.parseErr = err
 			return
 		}
-		e.prog, e.parseErr = parser.Parse(strings.TrimSuffix(e.Name, ".json")+".p4", src)
-		if e.parseErr == nil {
-			e.fp = Fingerprint(e.prog)
-		}
+		e.prog, e.parseErr = e.parse(src)
 	})
 	return e.prog, e.parseErr
 }
 
-// Fingerprint returns the entry's AST shape fingerprint, computed (and
-// parsed) at most once. The error is the read or parse failure, if any.
+func (e *Entry) parse(src string) (*ast.Program, error) {
+	return parser.Parse(strings.TrimSuffix(e.Name, ".json")+".p4", src)
+}
+
+// Fingerprint returns the entry's AST shape fingerprint, computed at most
+// once. Only the fingerprint string is cached: when Program has not run,
+// the parse it hashes is dropped afterwards rather than pinned for the
+// handle's lifetime (triage fingerprints every entry, and nothing after
+// it needs their trees); when Program has run, its tree is reused.
+// The error is the read or parse failure, if any.
 func (e *Entry) Fingerprint() (string, error) {
-	_, err := e.Program()
-	return e.fp, err
+	e.fpOnce.Do(func() {
+		var prog *ast.Program
+		if e.parsed.Load() {
+			prog, e.fpErr = e.prog, e.parseErr
+		} else if src, err := e.Source(); err != nil {
+			e.fpErr = err
+		} else {
+			prog, e.fpErr = e.parse(src)
+		}
+		if e.fpErr == nil {
+			e.fp = Fingerprint(prog)
+		}
+	})
+	return e.fp, e.fpErr
 }
 
 // Rule returns the typing rule the entry's rejection cited ("-" if none);
@@ -783,7 +806,10 @@ func (c *Corpus) Remove(e *Entry) error {
 	}
 	i := sort.Search(len(c.entries), func(i int) bool { return c.entries[i].Name >= e.Name })
 	if i < len(c.entries) && c.entries[i].Name == e.Name {
-		c.entries = append(c.entries[:i], c.entries[i+1:]...)
+		// slices.Delete clears the vacated tail slot, so the removed
+		// entry (and the source and tree it caches) is not kept
+		// reachable from the backing array.
+		c.entries = slices.Delete(c.entries, i, i+1)
 	}
 	if e.Err == nil {
 		delete(c.known, e.Meta.Key)

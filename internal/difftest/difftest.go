@@ -321,34 +321,35 @@ func generate(ctx context.Context, cfg Config, gcfg gen.Config, lat lattice.Latt
 // exported for the campaign engine, which classifies streamed results the
 // same way Run classifies batched ones.
 func Classify(r *pipeline.JobResult) (Verdict, string) {
+	v := VerdictOf(r)
+	return v, Detail(v, r)
+}
+
+// VerdictOf is Classify without the detail text: the one decision tree
+// that maps a pipeline result to its verdict class. Predicates that only
+// compare classes (the shrinker's keep functions) call it alone and
+// format nothing.
+func VerdictOf(r *pipeline.JobResult) Verdict {
 	switch {
-	case r.ParseErr != nil:
-		return GeneratorBug, "parse: " + r.ParseErr.Error()
-	case r.ResolveErr != nil:
-		return GeneratorBug, "resolve: " + r.ResolveErr.Error()
-	case !r.BaseOK():
-		detail := "basecheck rejected"
-		if r.Base != nil && r.Base.Err() != nil {
-			detail = "basecheck: " + r.Base.Err().Error()
-		}
-		return GeneratorBug, detail
+	case r.ParseErr != nil, r.ResolveErr != nil, !r.BaseOK():
+		return GeneratorBug
 	case r.IFCOK():
 		// Witnesses outrank trial errors: ni.Experiment.Run can return
 		// violations from early trials alongside an error from a later
 		// one, and a witnessed soundness violation must never be masked.
 		if len(r.NIViolations) > 0 {
-			return SoundnessViolation, r.NIViolations[0].String()
+			return SoundnessViolation
 		}
 		if r.NIErr != nil {
-			return RuntimeError, r.NIErr.Error()
+			return RuntimeError
 		}
-		return Sound, ""
+		return Sound
 	default:
 		if len(r.NIViolations) > 0 {
-			return RejectedWitnessed, r.NIViolations[0].String()
+			return RejectedWitnessed
 		}
 		if r.NIErr != nil {
-			return RuntimeError, r.NIErr.Error()
+			return RuntimeError
 		}
 		// A clean rejection under the exhaustive oracle carries proof
 		// provenance, graded by coverage: a total enumeration certifies
@@ -360,16 +361,45 @@ func Classify(r *pipeline.JobResult) (Verdict, string) {
 		switch r.NIOutcome {
 		case ni.ProvedSecure:
 			if r.NITotal {
-				return ProvedImprecise, fmt.Sprintf(
-					"exhaustive: non-interfering over the full input space (%d assignments)", r.NIAssignments)
+				return ProvedImprecise
 			}
-			return SecretExhausted, fmt.Sprintf(
-				"exhaustive: no secret influence at sampled public probes (%d assignments)", r.NIAssignments)
+			return SecretExhausted
 		case ni.Inconclusive:
-			return UnderTested, "exhaustive: " + r.NIReason
+			return UnderTested
 		}
-		return RejectedClean, ""
+		return RejectedClean
 	}
+}
+
+// Detail formats the detail text for r, whose verdict VerdictOf decided
+// was v: the first failing frontend stage for a generator bug, the first
+// witness or the runtime error, or the exhaustive oracle's coverage.
+func Detail(v Verdict, r *pipeline.JobResult) string {
+	switch v {
+	case GeneratorBug:
+		switch {
+		case r.ParseErr != nil:
+			return "parse: " + r.ParseErr.Error()
+		case r.ResolveErr != nil:
+			return "resolve: " + r.ResolveErr.Error()
+		case r.Base != nil:
+			if err := r.Base.Err(); err != nil {
+				return "basecheck: " + err.Error()
+			}
+		}
+		return "basecheck rejected"
+	case SoundnessViolation, RejectedWitnessed:
+		return r.NIViolations[0].String()
+	case RuntimeError:
+		return r.NIErr.Error()
+	case ProvedImprecise:
+		return fmt.Sprintf("exhaustive: non-interfering over the full input space (%d assignments)", r.NIAssignments)
+	case SecretExhausted:
+		return fmt.Sprintf("exhaustive: no secret influence at sampled public probes (%d assignments)", r.NIAssignments)
+	case UnderTested:
+		return "exhaustive: " + r.NIReason
+	}
+	return ""
 }
 
 // Count is the bounds-checked read of Report.Counts: out-of-range

@@ -92,6 +92,11 @@ type Job struct {
 	Name string
 	// Source is the program text.
 	Source string
+	// Prog, when non-nil, is Source already parsed, and the parse stage
+	// is skipped rather than parsing Source again. The job owns it:
+	// JobResult.Prog returns it and the stages run on it, so the caller
+	// must not modify it or hand it to another job.
+	Prog *ast.Program
 	// Lat is the security lattice to check against; nil means two-point.
 	Lat lattice.Lattice
 	// Seq is the job's NI-seed offset: its NI experiment runs with
@@ -466,16 +471,20 @@ func runJob(job Job, opts Options, trials int, ins instruments) JobResult {
 		lat = lattice.TwoPoint()
 	}
 
-	t0 := time.Now()
-	prog, err := parser.Parse(job.Name, job.Source)
-	r.StageDur[StageParse] = time.Since(t0)
-	if err != nil {
-		r.ParseErr = err
-		return r
+	prog := job.Prog
+	if prog == nil {
+		t0 := time.Now()
+		var err error
+		prog, err = parser.Parse(job.Name, job.Source)
+		r.StageDur[StageParse] = time.Since(t0)
+		if err != nil {
+			r.ParseErr = err
+			return r
+		}
 	}
 	r.Prog = prog
 
-	t0 = time.Now()
+	t0 := time.Now()
 	var diags diag.List
 	res := resolve.New(lat, &diags)
 	res.CollectTypeDecls(prog)

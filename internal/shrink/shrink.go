@@ -35,6 +35,12 @@ import (
 // class). It is called on parseable source text only.
 type Keep func(src string) bool
 
+// KeepParsed is Keep handed the parse the shrinker already made of the
+// candidate. Each call gets a fresh *ast.Program that the predicate owns:
+// it may run the checker stack on it (pipeline.Job.Prog) or retain it,
+// and the shrinker never touches it again.
+type KeepParsed func(src string, prog *ast.Program) bool
+
 // Result is the outcome of a minimization.
 type Result struct {
 	// Source is the minimized program text; len(Source) <= len(input).
@@ -52,13 +58,22 @@ const maxSweeps = 100
 // Minimize delta-debugs src against keep. It errors if src does not parse
 // or keep rejects src itself; otherwise the Result contract above holds.
 func Minimize(file, src string, keep Keep) (Result, error) {
+	return MinimizeParsed(file, src, func(s string, _ *ast.Program) bool { return keep(s) })
+}
+
+// MinimizeParsed is Minimize for predicates that would parse the candidate
+// themselves: every candidate is parsed exactly once, by the shrinker,
+// and that parse is handed to keep. The input is parsed twice, once for
+// keep and once as the tree the sweeps delete from.
+func MinimizeParsed(file, src string, keep KeepParsed) (Result, error) {
 	prog, err := parser.Parse(file, src)
 	if err != nil {
 		return Result{}, fmt.Errorf("shrink: input does not parse: %w", err)
 	}
-	if !keep(src) {
+	if !keep(src, prog) {
 		return Result{}, fmt.Errorf("shrink: predicate does not hold on the input")
 	}
+	prog, _ = parser.Parse(file, src) // keep owns the first parse
 	m := &minimizer{file: file, prog: prog, best: src, keep: keep}
 
 	// The canonical print often already beats the input's formatting; take
@@ -85,7 +100,7 @@ type minimizer struct {
 	file     string
 	prog     *ast.Program
 	best     string
-	keep     Keep
+	keep     KeepParsed
 	accepted int
 	tried    int
 }
@@ -93,10 +108,11 @@ type minimizer struct {
 // ok reports whether candidate source reparses and keeps the predicate.
 func (m *minimizer) ok(src string) bool {
 	m.tried++
-	if _, err := parser.Parse(m.file, src); err != nil {
+	prog, err := parser.Parse(m.file, src)
+	if err != nil {
 		return false
 	}
-	return m.keep(src)
+	return m.keep(src, prog)
 }
 
 // try applies mutate, tests the printed program, and calls undo when the

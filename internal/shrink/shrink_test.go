@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/basecheck"
 	"repro/internal/core"
 	"repro/internal/diag"
@@ -166,5 +167,49 @@ control Min(inout headers hdr) {
 	}
 	if len(res.Source) > len(src) {
 		t.Errorf("result grew from %d to %d bytes", len(src), len(res.Source))
+	}
+}
+
+// TestMinimizeParsedReplaysMinimize: MinimizeParsed tries the same
+// candidates in the same order as Minimize and lands on the same result.
+// Each call hands keep its own fresh parse of the candidate, which keep
+// may scribble over without disturbing the shrink.
+func TestMinimizeParsedReplaysMinimize(t *testing.T) {
+	cfg := gen.DefaultConfig()
+	for seed := int64(0); seed < 8; seed++ {
+		src := gen.Random(rand.New(rand.NewSource(seed)), cfg)
+		class := verdictClass(src)
+		var plainCands, parsedCands []string
+		plain, err := shrink.Minimize("p.p4", src, func(cand string) bool {
+			plainCands = append(plainCands, cand)
+			return verdictClass(cand) == class
+		})
+		if err != nil {
+			t.Fatalf("seed %d: Minimize: %v", seed, err)
+		}
+		seen := map[*ast.Program]bool{}
+		parsed, err := shrink.MinimizeParsed("p.p4", src, func(cand string, prog *ast.Program) bool {
+			parsedCands = append(parsedCands, cand)
+			if seen[prog] {
+				t.Fatalf("seed %d: keep was handed the same tree twice", seed)
+			}
+			seen[prog] = true
+			if want, _ := parser.Parse("p.p4", cand); ast.Print(prog) != ast.Print(want) {
+				t.Fatalf("seed %d: handed tree does not print like the candidate's parse", seed)
+			}
+			ok := verdictClass(cand) == class
+			prog.Decls, prog.Controls = nil, nil // keep owns it
+			return ok
+		})
+		if err != nil {
+			t.Fatalf("seed %d: MinimizeParsed: %v", seed, err)
+		}
+		if parsed != plain {
+			t.Errorf("seed %d: MinimizeParsed = %+v, Minimize = %+v", seed, parsed, plain)
+		}
+		if strings.Join(parsedCands, "\x00") != strings.Join(plainCands, "\x00") {
+			t.Errorf("seed %d: MinimizeParsed tried %d candidates, Minimize %d, or in another order",
+				seed, len(parsedCands), len(plainCands))
+		}
 	}
 }

@@ -139,6 +139,7 @@ func Retire(ctx context.Context, cfg RetireConfig) (*RetireReport, error) {
 		Corpus:      corp,
 		NITrials:    cfg.NITrials,
 		NITrialsMax: cfg.NITrialsMax,
+		Workers:     1, // RetireConfig carries no pool size; replay on one goroutine, as before
 		Events:      retireSink(cfg.Events),
 	})
 	if err != nil {

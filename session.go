@@ -189,7 +189,8 @@ func WithGenConfig(g GenConfig) SessionOption { return func(s *Session) { s.gcfg
 // from seed+i and seeds its NI experiment with seed+i.
 func WithSeed(seed int64) SessionOption { return func(s *Session) { s.seed = seed } }
 
-// WithWorkers bounds the analysis worker pool (<= 0 = GOMAXPROCS).
+// WithWorkers bounds the analysis worker pool (<= 0 = GOMAXPROCS): the
+// pool campaigns, batch checks, DiffFuzz, Replay, and Compact run on.
 func WithWorkers(n int) SessionOption { return func(s *Session) { s.workers = n } }
 
 // WithNIBudget sets the base NI trials per program and the adaptive
@@ -548,7 +549,10 @@ func (s *Session) needCorpus(op string) error {
 
 // Replay re-checks every finding in the session corpus against the
 // current checker stack — the corpus as a regression suite. Drift events
-// stream to Events; the report lists every mismatch.
+// stream to Events; the report lists every mismatch. Entries are
+// re-checked on the session's WithWorkers pool and reported in corpus
+// order: the report (apart from Elapsed), log, and events do not depend
+// on the pool size.
 func (s *Session) Replay(ctx context.Context) (*ReplayReport, error) {
 	if err := s.needCorpus("Replay"); err != nil {
 		return nil, err
@@ -563,6 +567,7 @@ func (s *Session) Replay(ctx context.Context) (*ReplayReport, error) {
 		Corpus:      corp,
 		NITrials:    s.trials,
 		NITrialsMax: s.trialsMax,
+		Workers:     s.workers,
 		Log:         s.log,
 		Events:      s.sink(),
 	})
@@ -636,7 +641,10 @@ func (s *Session) Retire(ctx context.Context) (*RetireReport, error) {
 // strictly-smaller forms replace their originals promote-first (the new
 // pair persists before the old one is removed), and entries that no
 // longer reproduce their recorded class are left for Retire. Job-done
-// and progress events stream to Events.
+// and progress events stream to Events. Entries are re-checked and
+// re-minimized on the session's WithWorkers pool, and the corpus is
+// rewritten in entry order: the compacted corpus, the report (apart from
+// Elapsed), log, and events do not depend on the pool size.
 func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
 	if err := s.needCorpus("Compact"); err != nil {
 		return nil, err
@@ -651,6 +659,7 @@ func (s *Session) Compact(ctx context.Context) (*CompactReport, error) {
 		Corpus:      corp,
 		NITrials:    s.trials,
 		NITrialsMax: s.trialsMax,
+		Workers:     s.workers,
 		Log:         s.log,
 		Events:      s.sink(),
 		Metrics:     s.metrics,
